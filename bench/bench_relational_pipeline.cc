@@ -334,14 +334,12 @@ BENCHMARK(BM_SuperstepJoinPath)
 
 // ---- Persistent sharding (storage/partition.h) -------------------------
 //
-// The sharded superstep dataflow vs. the unsharded one, end to end on
-// PageRank: vertex/edge tables partitioned once per run and kept resident,
-// per-shard dataflow run shard-wise in parallel, only cross-shard messages
-// exchanged between supersteps. Results are bit-identical (VX_CHECKed);
-// the recorded time is the coordinator's end-to-end run wall-clock
-// (RunStats::total_seconds), which includes the sharded path's one-time
-// partitioning — the fair counterpart of the per-superstep partitioning
-// the unsharded loop pays inside its supersteps.
+// The superstep dataflow at 4 resident shards vs. 1, end to end on
+// PageRank: tables partitioned once per run and kept resident, per-shard
+// dataflow run shard-wise in parallel, messages exchanged between
+// supersteps. Results are bit-identical (VX_CHECKed); the recorded time is
+// the coordinator's end-to-end run wall-clock (RunStats::total_seconds),
+// which includes the one-time partitioning.
 
 void BM_ShardedSuperstep(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

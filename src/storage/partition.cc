@@ -113,6 +113,14 @@ Table GatherBucket(const Table& table, int key_column, ScatterPlan& plan,
   return std::move(made).MoveValueUnsafe();
 }
 
+Status ValidateSpec(const ShardingSpec& spec) {
+  if (spec.num_shards < 1 || spec.base_partitions < 1 ||
+      spec.num_shards > spec.base_partitions) {
+    return Status::InvalidArgument("malformed ShardingSpec");
+  }
+  return Status::OK();
+}
+
 Status ValidateKeyColumn(const Table& table, int key_column) {
   if (key_column < 0 || key_column >= table.num_columns()) {
     return Status::InvalidArgument("partition key column out of range");
@@ -161,11 +169,9 @@ std::vector<Table> HashPartition(const Table& table, int key_column,
 
 Result<std::vector<Table>> ShardScatter(const Table& table, int key_column,
                                         const ShardingSpec& spec) {
-  if (spec.num_shards < 1 || spec.base_partitions < 1 ||
-      spec.num_shards > spec.base_partitions) {
-    return Status::InvalidArgument("malformed ShardingSpec");
-  }
+  VX_RETURN_NOT_OK(ValidateSpec(spec));
   VX_RETURN_NOT_OK(ValidateKeyColumn(table, key_column));
+  if (spec.num_shards == 1) return std::vector<Table>{table};
   const Column& keys = table.column(key_column);
   ScatterPlan plan = ScatterByKey(
       keys, spec.num_shards,
@@ -185,28 +191,41 @@ Result<std::vector<Table>> ShardScatter(const Table& table, int key_column,
   return out;
 }
 
-Result<PartitionSet> PartitionSet::Build(const Table& table, int key_column,
+Result<PartitionSet> PartitionSet::Build(TablePtr table, int key_column,
                                          const ShardingSpec& spec) {
-  VX_ASSIGN_OR_RETURN(std::vector<Table> shards,
-                      ShardScatter(table, key_column, spec));
   PartitionSet set;
   set.spec_ = spec;
   set.key_column_ = key_column;
-  set.shards_.reserve(shards.size());
-  const EncodingMode mode = AmbientEncodingMode();
-  for (Table& shard : shards) {
-    // Retain the physical design per shard: the scatter already carried
-    // the sort-order declaration over; encoding adds segments + zone maps
-    // for the columns it encodes (a key column rebuilt from runs is
-    // already RLE and keeps its segment).
-    if (mode != EncodingMode::kOff) shard.EncodeColumns(mode);
-    set.shards_.push_back(std::make_shared<const Table>(std::move(shard)));
+  if (spec.num_shards == 1) {
+    // The degenerate set is its input: nothing to scatter, and re-encoding
+    // would only copy a table the caller already holds.
+    VX_RETURN_NOT_OK(ValidateSpec(spec));
+    VX_RETURN_NOT_OK(ValidateKeyColumn(*table, key_column));
+    set.shards_.push_back(std::move(table));
+  } else {
+    VX_ASSIGN_OR_RETURN(std::vector<Table> shards,
+                        ShardScatter(*table, key_column, spec));
+    set.shards_.reserve(shards.size());
+    const EncodingMode mode = AmbientEncodingMode();
+    for (Table& shard : shards) {
+      // Retain the physical design per shard: the scatter already carried
+      // the sort-order declaration over; encoding adds segments + zone
+      // maps for the columns it encodes (a key column rebuilt from runs is
+      // already RLE and keeps its segment).
+      if (mode != EncodingMode::kOff) shard.EncodeColumns(mode);
+      set.shards_.push_back(std::make_shared<const Table>(std::move(shard)));
+    }
   }
   // Self-audit the freshly built set (placement, per-shard structure): a
   // scatter bug caught here aborts at the source instead of surfacing as a
   // wrong answer supersteps later.
   VX_DCHECK_OK(set.CheckInvariants());
   return set;
+}
+
+Result<PartitionSet> PartitionSet::Build(const Table& table, int key_column,
+                                         const ShardingSpec& spec) {
+  return Build(std::make_shared<const Table>(table), key_column, spec);
 }
 
 int64_t PartitionSet::total_rows() const {

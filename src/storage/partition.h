@@ -54,7 +54,7 @@ std::vector<Table> HashPartition(const Table& table, int key_column,
 /// Mirrors the `threads` and `encoding` knobs (exec/parallel.h,
 /// storage/encoding.h): innermost ScopedExecShards override, else the
 /// process default (SetDefaultExecShards), else the VERTEXICA_SHARDS
-/// environment variable, else 1 (unsharded). RunRequest::shards installs a
+/// environment variable, else 1 (one shard). RunRequest::shards installs a
 /// scoped override around the backend dispatch; the Vertexica coordinator
 /// resolves its shard count through ExecShards().
 /// @{
@@ -87,9 +87,10 @@ class ScopedExecShards {
 /// Coarsening the *same* base partitioning is what makes shard placement
 /// compose with vertex batching: a shard's rows hash into a contiguous
 /// block of the base partitions, so a per-shard batching pass (with the
-/// same base count) reproduces exactly the partitions of an unsharded pass,
-/// in order — the property behind the sharded dataflow being bit-identical
-/// at any shard count. `num_shards` must not exceed `base_partitions`.
+/// same base count) reproduces exactly the partitions of a whole-table
+/// pass, in order — the property behind the superstep dataflow being
+/// bit-identical at any shard count. `num_shards` must not exceed
+/// `base_partitions`.
 struct ShardingSpec {
   int num_shards = 1;
   /// Keep equal to the vertex-batching count (the shared order-defining
@@ -119,7 +120,8 @@ struct ShardingSpec {
 /// \brief Order-preserving scatter of `table` into `spec.num_shards` tables
 /// by the shard of the int64 column `key_column`. Any declared sort order
 /// of the input is re-declared on every shard (a stable scatter keeps each
-/// shard a subsequence of the input). NULL keys go to shard 0.
+/// shard a subsequence of the input). NULL keys go to shard 0. The
+/// one-bucket scatter returns its input as is (encodings included).
 Result<std::vector<Table>> ShardScatter(const Table& table, int key_column,
                                         const ShardingSpec& spec);
 
@@ -130,17 +132,22 @@ Result<std::vector<Table>> ShardScatter(const Table& table, int key_column,
 /// Build retains per-shard physical-design metadata: inherited sort-order
 /// declarations from the scatter, and — when the ambient encoding mode is
 /// not off — per-shard segment encodings and zone maps (Table::EncodeColumns
-/// over each shard). Shards are exposed as shared snapshots so the
-/// morsel-parallel executor can range-scan them without copying.
+/// over each scattered shard; a one-shard set keeps its input's). Shards
+/// are exposed as shared snapshots so the morsel-parallel executor can
+/// range-scan them without copying.
 class PartitionSet {
  public:
   using TablePtr = std::shared_ptr<const Table>;
 
   PartitionSet() = default;
 
-  /// \brief Partitions `table` on `key_column` per `spec`. Fails when the
-  /// key column is not INT64 or the spec is malformed
+  /// \brief Partitions `table` on `key_column` per `spec`. A one-shard set
+  /// holds `table` itself: no scatter, no copy, no re-encode. Fails when
+  /// the key column is not INT64 or the spec is malformed
   /// (num_shards < 1 or num_shards > base_partitions).
+  static Result<PartitionSet> Build(TablePtr table, int key_column,
+                                    const ShardingSpec& spec);
+  /// \brief Same over a table value, which is copied into a snapshot first.
   static Result<PartitionSet> Build(const Table& table, int key_column,
                                     const ShardingSpec& spec);
 

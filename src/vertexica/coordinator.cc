@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -108,28 +109,6 @@ bool OrderedByColumn(const Table& t, const std::string& name) {
   if (t.sort_order().empty()) return false;
   const SortKey& k = t.sort_order()[0];
   return k.ascending && t.schema().field(k.column).name == name;
-}
-
-/// Debug-audit helper (the VX_DCHECK tier): every row of `t` must be owned
-/// by shard `shard` under `spec` — the scatter contract a table routed to a
-/// shard carries (NULL keys belong to shard 0). Mirrors
-/// PartitionSet::CheckInvariants for tables held outside a PartitionSet
-/// (the per-shard message tables).
-[[maybe_unused]] Status AuditShardPlacement(const Table& t, int key_column,
-                                            const ShardingSpec& spec,
-                                            int shard) {
-  const Column& keys = t.column(key_column);
-  for (int64_t r = 0; r < keys.length(); ++r) {
-    const int want = keys.IsNull(r) ? spec.ShardOfNull()
-                                    : spec.ShardOfKey(keys.GetInt64(r));
-    if (want != shard) {
-      return Status::Internal(StringFormat(
-          "shard placement violated: row %lld routed to shard %d but its "
-          "key is owned by shard %d",
-          static_cast<long long>(r), shard, want));
-    }
-  }
-  return Status::OK();
 }
 
 /// The active set of one superstep over one vertex/message (shard) pair:
@@ -249,9 +228,9 @@ std::vector<ProjectionSpec> MessageProjection(int ma) {
 
 /// One pass over a worker-output table: the active-vertex count plus the
 /// kind-3 aggregator partial rows as (aggregator index, partial) pairs in
-/// row order. Collected rather than merged so the sharded path can replay
-/// the merges across shards in global row order — the exact fold sequence
-/// of the unsharded loop.
+/// row order. Collected rather than merged so the coordinator can replay
+/// the merges across shards in global row order — the same fold sequence
+/// at every shard count.
 struct WorkerOutputScan {
   int64_t active = 0;
   std::vector<std::pair<int64_t, double>> aggregate_rows;
@@ -273,10 +252,8 @@ WorkerOutputScan ScanWorkerOutput(const Table& out) {
   return scan;
 }
 
-/// The fused σ→π worker-output split (updates, new messages, aggregate
-/// scan) — one definition shared by the sharded and unsharded superstep
-/// loops, so the two paths cannot drift apart and break their documented
-/// bit-identity contract.
+/// The fused σ→π worker-output split of one shard: vertex updates, new
+/// messages, and the aggregate scan.
 struct SplitOutputs {
   Table updates;
   Table messages;
@@ -333,28 +310,83 @@ AggOp CombinerToAggOp(MessageCombiner c) {
   return AggOp::kSum;
 }
 
-}  // namespace
-
-/// Resident state of the persistent-sharding path, built once per run:
-/// vertex shards (replaced in place as supersteps apply updates), immutable
-/// edge shards with their cached join sides, and the per-shard message
-/// tables swapped by the between-superstep exchange.
-struct Coordinator::ShardedState {
-  ShardingSpec spec;
-  PartitionSet vertex;
-  PartitionSet edge;
-  std::vector<TablePtr> message;
-  std::vector<TablePtr> edge_join_side;  // empty on the union-input path
-  /// Per-shard CSR edge indexes of the union-path frontier gathers, built
-  /// lazily the first superstep a shard takes the frontier path (a dense
-  /// run never pays for them). Race-free without locks: each shard's slot
-  /// is touched only by the one ParallelFor task that owns that shard in a
-  /// superstep, and cross-superstep visibility rides the pool's
-  /// submit/join synchronization. `edge_csr_failed[s]` remembers an
-  /// unbuildable shard layout so it is probed once, not every superstep.
-  std::vector<std::shared_ptr<const CsrIndex>> edge_csr;
-  std::vector<uint8_t> edge_csr_failed;
+/// Per-shard edge structures, derived from the resident edge shard the
+/// first superstep that needs them and kept for the run. `join_side` is the
+/// join-input path's (esrc, edst, eweight, edge_seq) side; `csr` is the
+/// per-source-vertex row-slice index of the union-path frontier gathers (a
+/// dense run never builds it), and `csr_failed` remembers an unbuildable
+/// layout so it is probed once, not every superstep. Race-free without
+/// locks: a shard's slot is touched only by the one ParallelFor task that
+/// owns that shard in a superstep, and cross-superstep visibility rides the
+/// pool's submit/join synchronization.
+struct EdgeShard {
+  std::shared_ptr<const Table> join_side;
+  std::shared_ptr<const CsrIndex> csr;
+  bool csr_failed = false;
 };
+
+/// The shard's CSR index over its edge `src` column, built on first use;
+/// nullptr when the column is not grouped (callers fall back to dense).
+const CsrIndex* EdgeCsr(const Table& edge, EdgeShard* derived) {
+  if (derived->csr == nullptr && !derived->csr_failed) {
+    const Column* src = edge.ColumnByName("src");
+    if (src != nullptr) derived->csr = CsrIndex::Build(*src);
+    derived->csr_failed = derived->csr == nullptr;
+    // The index is reused for the rest of the run; prove once that it
+    // describes exactly this key column.
+    if (derived->csr != nullptr) {
+      VX_DCHECK_OK(derived->csr->CheckInvariants(*src));
+    }
+  }
+  return derived->csr.get();
+}
+
+/// Publishes a resident shard set to the catalog as one table sorted on the
+/// column `key` (checkpoints and run end). A single shard already in that
+/// order is published as the resident snapshot itself. Otherwise the shards
+/// are concatenated in shard order and stable-sorted — hash blocks
+/// interleave keys; the sort is key-only and stable, so values and each
+/// key's row order are unchanged — then re-encoded.
+Status PublishSorted(Catalog* catalog, const std::string& name,
+                     const PartitionSet& set, const std::string& key,
+                     EncodingMode mode) {
+  if (set.num_shards() == 1 && OrderedByColumn(*set.shard(0), key)) {
+    VX_DCHECK_OK(set.shard(0)->CheckInvariants());
+    return catalog->ReplaceTable(name, set.shard(0));
+  }
+  Table table(set.shard(0)->schema());
+  for (int s = 0; s < set.num_shards(); ++s) {
+    VX_RETURN_NOT_OK(table.Append(*set.shard(s)));
+  }
+  VX_ASSIGN_OR_RETURN(int key_c, table.ColumnIndex(key));
+  table = SortTable(table, {{key_c, true}});
+  if (mode != EncodingMode::kOff) table.EncodeColumns(mode);
+  // Post-flush audit: the published table is what catalog readers (and a
+  // resumed run) trust from here on.
+  VX_DCHECK_OK(table.CheckInvariants());
+  return catalog->ReplaceTable(name, std::move(table));
+}
+
+/// The superstep a restored checkpoint marker names. The marker comes off
+/// disk, so its shape is checked before it is read: exactly one non-null
+/// INT64 value in [0, INT_MAX].
+Result<int> ReadCheckpointMarker(const Table& marker,
+                                 const std::string& name) {
+  const bool well_formed =
+      marker.num_columns() == 1 && marker.num_rows() == 1 &&
+      marker.column(0).type() == DataType::kInt64 &&
+      !marker.column(0).IsNull(0) && marker.column(0).GetInt64(0) >= 0 &&
+      marker.column(0).GetInt64(0) <= std::numeric_limits<int>::max();
+  if (!well_formed) {
+    return Status::InvalidArgument(StringFormat(
+        "checkpoint marker table '%s' must hold exactly one non-null INT64 "
+        "superstep >= 0",
+        name.c_str()));
+  }
+  return static_cast<int>(marker.column(0).GetInt64(0));
+}
+
+}  // namespace
 
 Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
                          VertexicaOptions options, GraphTableNames names)
@@ -362,8 +394,6 @@ Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
       program_(program),
       options_(options),
       names_(std::move(names)) {}
-
-Coordinator::~Coordinator() = default;
 
 Result<Table> Coordinator::BuildUnionInput(const TablePtr& vertex,
                                            const TablePtr& edge,
@@ -467,46 +497,6 @@ Result<Table> Coordinator::BuildJoinInputWithEdgeSide(
       .Join(PlanBuilder::Scan(edge_side), {"id"}, {"esrc"},
             JoinType::kLeft)
       .Execute();
-}
-
-void Coordinator::SyncEdgeDerived(const TablePtr& edge) const {
-  if (edge_derived_.source == edge) return;
-  // A different snapshot — including an edge table replaced mid-run (the
-  // dynamic-graph path): drop every derived structure together so nothing
-  // stale can pair with the new rows.
-  edge_derived_ = EdgeDerived{};
-  edge_derived_.source = edge;
-}
-
-Result<Coordinator::TablePtr> Coordinator::EdgeJoinSideFor(
-    const TablePtr& edge) const {
-  SyncEdgeDerived(edge);
-  if (edge_derived_.join_side == nullptr) {
-    VX_ASSIGN_OR_RETURN(edge_derived_.join_side, BuildEdgeJoinSide(edge));
-  }
-  return edge_derived_.join_side;
-}
-
-const CsrIndex* Coordinator::EdgeCsrFor(const TablePtr& edge) const {
-  SyncEdgeDerived(edge);
-  if (edge_derived_.csr == nullptr && !edge_derived_.csr_failed) {
-    const Column* src = edge->ColumnByName("src");
-    if (src != nullptr) edge_derived_.csr = CsrIndex::Build(*src);
-    edge_derived_.csr_failed = edge_derived_.csr == nullptr;
-    if (edge_derived_.csr != nullptr) {
-      // The index is cached across supersteps keyed on this snapshot; prove
-      // once that it describes exactly this key column.
-      VX_DCHECK_OK(edge_derived_.csr->CheckInvariants(*src));
-    }
-  }
-  return edge_derived_.csr.get();
-}
-
-Result<Table> Coordinator::BuildJoinInput(const TablePtr& vertex,
-                                          const TablePtr& edge,
-                                          const TablePtr& message) const {
-  VX_ASSIGN_OR_RETURN(TablePtr edge_side, EdgeJoinSideFor(edge));
-  return BuildJoinInputWithEdgeSide(vertex, edge_side, message);
 }
 
 Result<Table> Coordinator::BuildUnionInputFrontier(
@@ -693,6 +683,9 @@ Status Coordinator::Run(RunStats* stats) {
   // still governs, like the encoding mode.
   std::optional<ScopedMergeJoin> scoped_merge;
   if (!options_.use_merge_join) scoped_merge.emplace(false);
+  // Knobs are resolved once per run and reinstalled inside every shard
+  // task: pool threads don't inherit the caller's thread-local knobs.
+  const ExecKnobs knobs = ExecKnobs::Capture();
 
   // The sorted-invariant maintenance below is gated on the join-input
   // path only — NOT on the merge-join knob — so toggling use_merge_join
@@ -711,338 +704,80 @@ Status Coordinator::Run(RunStats* stats) {
   }
 
   // §1 durability: resume from a checkpoint marker restored by LoadCatalog.
+  const std::string marker_name = MarkerName(names_);
   int first_superstep = 0;
-  if (options_.resume_from_checkpoint &&
-      catalog_->HasTable(MarkerName(names_))) {
-    VX_ASSIGN_OR_RETURN(auto marker, catalog_->GetTable(MarkerName(names_)));
-    if (marker->num_rows() == 1) {
-      first_superstep =
-          static_cast<int>(marker->column(0).GetInt64(0));
-    }
+  if (options_.resume_from_checkpoint && catalog_->HasTable(marker_name)) {
+    VX_ASSIGN_OR_RETURN(auto marker, catalog_->GetTable(marker_name));
+    VX_ASSIGN_OR_RETURN(first_superstep,
+                        ReadCheckpointMarker(*marker, marker_name));
   }
 
-  // Persistent sharding (§2.3 vertex batching made resident): with an
-  // effective shard count > 1 the run partitions the graph tables once and
-  // loops shard-wise. The shard count is capped at the vertex-batching
-  // partition count — shards are contiguous blocks of those partitions,
-  // which is what makes the two paths bit-identical (storage/partition.h).
-  const int base_partitions = options_.num_partitions > 0
-                                  ? options_.num_partitions
-                                  : kDefaultTransformPartitions;
-  const int num_shards = std::min(
-      options_.num_shards > 0 ? options_.num_shards : ExecShards(),
-      base_partitions);
-  if (num_shards > 1) {
-    return RunSharded(stats, num_shards, base_partitions, first_superstep);
-  }
+  // The shard count is capped at the vertex-batching partition count —
+  // shards are contiguous blocks of those partitions, which is what makes
+  // results bit-identical at any shard count (storage/partition.h).
+  ShardingSpec sharding;
+  sharding.base_partitions = options_.num_partitions > 0
+                             ? options_.num_partitions
+                             : kDefaultTransformPartitions;
+  sharding.num_shards = std::min(
+      options_.num_shards > 0 ? options_.num_shards : knobs.shards,
+      sharding.base_partitions);
+  const int num_shards = sharding.num_shards;
+  const auto num_shards_z = static_cast<size_t>(num_shards);
 
-  WallTimer total_timer;
-  for (int superstep = first_superstep;
-       superstep < options_.max_supersteps; ++superstep) {
-    // Superstep boundary: the natural stopping point of a cancelled or
-    // past-deadline run — the catalog still holds the last completed
-    // superstep's consistent state.
-    VX_RETURN_NOT_OK(CheckAmbientCancel());
-    VX_FAULT_POINT("coordinator.superstep");
-    WallTimer step_timer;
-    // Which physical join path this superstep's plans take (input build +
-    // replace-path rebuild), published via SuperstepStats.
-    JoinPathStats join_stats;
-    ScopedJoinStatsCollector join_collector(&join_stats);
-    VX_ASSIGN_OR_RETURN(auto vertex, catalog_->GetTable(names_.vertex));
-    VX_ASSIGN_OR_RETURN(auto edge, catalog_->GetTable(names_.edge));
-    VX_ASSIGN_OR_RETURN(auto message, catalog_->GetTable(names_.message));
-
-    // Stored-procedure loop condition: "it runs as long as there is any
-    // message for the next superstep" (plus Pregel's not-yet-halted rule).
-    if (superstep > 0 && message->num_rows() == 0 && AllHalted(*vertex)) {
-      break;
-    }
-
-    auto shared = std::make_shared<WorkerSharedState>();
-    shared->program = program_;
-    shared->superstep = superstep;
-    shared->num_vertices = vertex->num_rows();
-    shared->payload_arity = arity;
-    shared->prev_aggregates = &prev_aggregates_;
-    for (const auto& spec : agg_specs) {
-      shared->aggregator_kinds[spec.name] = spec.kind;
-      shared->aggregator_names.push_back(spec.name);
-    }
-
-    // ---- Worker input: frontier (sparse) or dense build. ---------------
-    // The frontier decision is part of the measured input phase — deriving
-    // the active set is a cost the sparse path pays, so input_seconds must
-    // charge for it.
-    WallTimer phase_timer;
-    Frontier frontier;
-    bool used_frontier =
-        ComputeFrontier(*vertex, *message, AmbientFrontierMode(), superstep,
-                        options_.frontier_threshold, &frontier);
-    // The frontier bitvector gates which vertices compute this superstep;
-    // its word-tail hygiene is what the popcount/AND/OR shortcuts assume.
-    if (used_frontier) VX_DCHECK_OK(frontier.bits.CheckInvariants());
-    Table input;
-    if (options_.use_union_input) {
-      const CsrIndex* csr = used_frontier ? EdgeCsrFor(edge) : nullptr;
-      used_frontier = used_frontier && csr != nullptr;
-      if (used_frontier) {
-        VX_ASSIGN_OR_RETURN(input, BuildUnionInputFrontier(
-                                       vertex, edge, message, frontier.bits,
-                                       *csr));
-      } else {
-        VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vertex, edge, message));
-      }
-    } else {
-      VX_ASSIGN_OR_RETURN(TablePtr edge_side, EdgeJoinSideFor(edge));
-      if (used_frontier) {
-        VX_ASSIGN_OR_RETURN(input, BuildJoinInputFrontier(
-                                       vertex, edge_side, message,
-                                       frontier.bits));
-      } else {
-        VX_ASSIGN_OR_RETURN(
-            input, BuildJoinInputWithEdgeSide(vertex, edge_side, message));
-      }
-    }
-    const double input_seconds = phase_timer.ElapsedSeconds();
-
-    // Vertex batching (§2.3): hash partition on vertex id (column 0), sort
-    // each partition on id, and run the worker UDFs in parallel.
-    TransformOptions topts;
-    topts.num_workers = options_.num_workers;
-    topts.num_partitions = options_.num_partitions;
-    topts.sort_columns = {0};
-    TransformUdfFactory factory;
-    if (options_.use_union_input) {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<Worker>(shared);
-      };
-    } else {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<JoinWorker>(shared);
-      };
-    }
-    phase_timer.Restart();
-    VX_ASSIGN_OR_RETURN(Table out_table,
-                        ApplyTransform(input, 0, factory, topts));
-    const double worker_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Restart();
-
-    // Shared snapshot so the two split scans below range-scan it in
-    // parallel without copying.
-    const auto out = std::make_shared<const Table>(std::move(out_table));
-
-    // ---- Split the worker output (fused σ→π, morsel-parallel). --------
-    VX_ASSIGN_OR_RETURN(SplitOutputs split, SplitWorkerOutput(out, va, ma));
-    Table updates = std::move(split.updates);
-    Table new_messages = std::move(split.messages);
-    const int64_t active = split.scan.active;
-    std::map<std::string, double> new_aggregates;
-    for (const auto& spec : agg_specs) {
-      new_aggregates[spec.name] = AggregatorIdentity(spec.kind);
-    }
-    MergeAggregateRows(agg_specs, split.scan.aggregate_rows,
-                       &new_aggregates);
-
-    // ---- Message combining. -------------------------------------------
-    VX_ASSIGN_OR_RETURN(new_messages,
-                        CombineMessages(std::move(new_messages)));
-
-    // ---- Sorted-message invariant (order-aware joins). ----------------
-    // Keep the stored message table sorted by receiver so the next
-    // superstep's vertex ⟕ message join merges instead of hashing. The
-    // sort is stable, so each receiver's messages keep their arrival
-    // order — worker-visible message streams (and results) are unchanged.
-    // Only the join-input path benefits, so only it pays; not gated on
-    // the merge knob (see the bit-identity note at the top of Run).
-    if (!options_.use_union_input) {
-      VX_ASSIGN_OR_RETURN(int dst_c, new_messages.ColumnIndex("dst"));
-      if (new_messages.num_rows() > 0 &&
-          !OrderedByColumn(new_messages, "dst")) {
-        new_messages = SortTable(new_messages, {{dst_c, true}});
-      } else if (new_messages.sort_order().empty()) {
-        new_messages.SetSortOrder({{dst_c, true}});  // 0 rows: vacuously so
-      }
-    }
-
-    const double split_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Restart();
-
-    // ---- Update vs. replace (§2.3). -----------------------------------
-    // Both stored tables are (re-)encoded before the swap so they stay
-    // compressed between supersteps (storage/encoding.h); the next
-    // superstep's scans and projections decode lazily, and whole-table
-    // passes like AllHalted read runs directly. Value-neutral: results are
-    // bit-identical with the encoding knob off.
-    const EncodingMode enc_mode = AmbientEncodingMode();
-    int64_t encoded_bytes = 0;
-    int64_t decoded_bytes = 0;
-    bool used_replace = false;
-    if (updates.num_rows() > 0) {
-      Table new_vertex;
-      const double frac = static_cast<double>(updates.num_rows()) /
-                          static_cast<double>(std::max<int64_t>(
-                              1, vertex->num_rows()));
-      if (frac < options_.update_threshold) {
-        VX_ASSIGN_OR_RETURN(new_vertex,
-                            UpdateVerticesInPlace(*vertex, updates));
-      } else {
-        used_replace = true;
-        VX_ASSIGN_OR_RETURN(new_vertex, RebuildVertices(*vertex, updates));
-        // The anti-join ∪ union rebuild breaks the sorted-by-id invariant
-        // (updated rows land at the tail); restore it on both input paths —
-        // the join path's merge joins and the frontier's receiver binary
-        // search both key on it. Stable and id-keyed, so results are
-        // unchanged: every id owns exactly one vertex row and the worker
-        // input is stable-sorted by id per partition, so vertex-table row
-        // order never reaches a per-vertex tuple stream. Not gated on the
-        // merge or frontier knobs (see the bit-identity note at the top
-        // of Run).
-        if (!OrderedByColumn(new_vertex, "id")) {
-          VX_ASSIGN_OR_RETURN(int id_c, new_vertex.ColumnIndex("id"));
-          new_vertex = SortTable(new_vertex, {{id_c, true}});
-        }
-      }
-      if (enc_mode != EncodingMode::kOff) new_vertex.EncodeColumns(enc_mode);
-      // Post-apply audit: the table about to be published must honor every
-      // structural claim it carries (sorted-by-id declaration, encodings,
-      // zone maps) — downstream supersteps trust them blindly.
-      VX_DCHECK_OK(new_vertex.CheckInvariants());
-      AccountTableBytes(new_vertex, &encoded_bytes, &decoded_bytes);
-      VX_RETURN_NOT_OK(
-          catalog_->ReplaceTable(names_.vertex, std::move(new_vertex)));
-    } else {
-      AccountTableBytes(*vertex, &encoded_bytes, &decoded_bytes);
-    }
-
-    if (enc_mode != EncodingMode::kOff) new_messages.EncodeColumns(enc_mode);
-    VX_DCHECK_OK(new_messages.CheckInvariants());
-    const int64_t messages_sent = new_messages.num_rows();
-    AccountTableBytes(new_messages, &encoded_bytes, &decoded_bytes);
-    VX_RETURN_NOT_OK(
-        catalog_->ReplaceTable(names_.message, std::move(new_messages)));
-    prev_aggregates_ = std::move(new_aggregates);
-
-    if (stats != nullptr) {
-      SuperstepStats s;
-      s.superstep = superstep;
-      s.input_rows = input.num_rows();
-      s.active_vertices = active;
-      s.vertex_updates = updates.num_rows();
-      s.messages_sent = messages_sent;
-      s.seconds = step_timer.ElapsedSeconds();
-      s.used_replace = used_replace;
-      s.input_seconds = input_seconds;
-      s.worker_seconds = worker_seconds;
-      s.split_seconds = split_seconds;
-      s.apply_seconds = phase_timer.ElapsedSeconds();
-      s.encoded_bytes = encoded_bytes;
-      s.decoded_bytes = decoded_bytes;
-      s.used_frontier = used_frontier;
-      s.frontier_vertices = used_frontier ? frontier.active : 0;
-      s.merge_joins = join_stats.merge_joins;
-      s.hash_joins = join_stats.hash_joins;
-      s.join_rows = join_stats.merge_rows + join_stats.hash_rows;
-      s.join_seconds = join_stats.merge_seconds + join_stats.hash_seconds;
-      stats->supersteps.push_back(s);
-      stats->total_messages += messages_sent;
-      ++(used_frontier ? stats->frontier_supersteps
-                       : stats->dense_supersteps);
-    }
-
-    if (options_.checkpoint_every > 0 &&
-        (superstep + 1) % options_.checkpoint_every == 0) {
-      Table marker(Schema({{"next_superstep", DataType::kInt64}}));
-      VX_RETURN_NOT_OK(
-          marker.AppendRow({Value(static_cast<int64_t>(superstep + 1))}));
-      VX_RETURN_NOT_OK(
-          catalog_->ReplaceTable(MarkerName(names_), std::move(marker)));
-      VX_RETURN_NOT_OK(SaveCatalog(*catalog_, options_.checkpoint_dir));
-    }
-
-    if (active == 0 && messages_sent == 0) break;
-  }
-  if (stats != nullptr) stats->total_seconds = total_timer.ElapsedSeconds();
-  return Status::OK();
-}
-
-Status Coordinator::RunSharded(RunStats* stats, int num_shards,
-                               int base_partitions, int first_superstep) {
-  const int va = program_->value_arity();
-  const int ma = program_->message_arity();
-  const int arity = PayloadArity(*program_);
-  const auto agg_specs = program_->aggregators();
-
-  // Timer starts before the sharding setup: the once-per-run partitioning
-  // below is this path's analogue of the per-superstep partitioning the
-  // unsharded loop pays inside its measured loop, so total_seconds must
-  // include it for the two paths to be comparable.
+  // Timer starts before the shard setup: the once-per-run partitioning is
+  // part of the run's cost.
   WallTimer total_timer;
 
-  // ---- Shard the graph tables, once per run. --------------------------
+  // ---- Resident shards, built once per run. ---------------------------
   // Vertex shards by id, edge shards by src, message shards by dst: every
   // worker-input tuple's batching key is its owning vertex, so each shard's
   // input hashes into exactly that shard's block of the vertex-batching
   // partitions. PartitionSet::Build retains sort-order declarations and
-  // (ambient-mode permitting) encodings + zone maps per shard, so the
-  // per-shard join path sees the same physical design the unsharded path
-  // maintains on the whole tables.
-  {
-    VX_ASSIGN_OR_RETURN(auto vertex0, catalog_->GetTable(names_.vertex));
-    VX_ASSIGN_OR_RETURN(auto edge0, catalog_->GetTable(names_.edge));
-    VX_ASSIGN_OR_RETURN(auto message0, catalog_->GetTable(names_.message));
+  // (ambient-mode permitting) encodings + zone maps per shard, and at one
+  // shard holds the catalog snapshot itself. Build self-audits each set
+  // (the post-scatter audit).
+  VX_ASSIGN_OR_RETURN(auto vertex0, catalog_->GetTable(names_.vertex));
+  VX_ASSIGN_OR_RETURN(auto edge0, catalog_->GetTable(names_.edge));
+  VX_ASSIGN_OR_RETURN(auto message0, catalog_->GetTable(names_.message));
+  VX_ASSIGN_OR_RETURN(int vid_c, vertex0->ColumnIndex("id"));
+  VX_ASSIGN_OR_RETURN(int esrc_c, edge0->ColumnIndex("src"));
+  VX_ASSIGN_OR_RETURN(int mdst_c, message0->ColumnIndex("dst"));
+  VX_ASSIGN_OR_RETURN(PartitionSet vertex,
+                      PartitionSet::Build(std::move(vertex0), vid_c,
+                                          sharding));
+  VX_ASSIGN_OR_RETURN(PartitionSet edge,
+                      PartitionSet::Build(std::move(edge0), esrc_c,
+                                          sharding));
+  VX_ASSIGN_OR_RETURN(PartitionSet message,
+                      PartitionSet::Build(std::move(message0), mdst_c,
+                                          sharding));
+  std::vector<EdgeShard> edge_derived(num_shards_z);
+  const int64_t total_vertices = vertex.total_rows();
 
-    sharded_ = std::make_unique<ShardedState>();
-    sharded_->spec.num_shards = num_shards;
-    sharded_->spec.base_partitions = base_partitions;
-    VX_ASSIGN_OR_RETURN(int vid_c, vertex0->ColumnIndex("id"));
-    VX_ASSIGN_OR_RETURN(int esrc_c, edge0->ColumnIndex("src"));
-    VX_ASSIGN_OR_RETURN(int mdst_c, message0->ColumnIndex("dst"));
-    VX_ASSIGN_OR_RETURN(sharded_->vertex,
-                        PartitionSet::Build(*vertex0, vid_c, sharded_->spec));
-    VX_ASSIGN_OR_RETURN(sharded_->edge,
-                        PartitionSet::Build(*edge0, esrc_c, sharded_->spec));
-    VX_ASSIGN_OR_RETURN(std::vector<Table> msg_shards,
-                        ShardScatter(*message0, mdst_c, sharded_->spec));
-    for (Table& t : msg_shards) {
-      sharded_->message.push_back(
-          std::make_shared<const Table>(std::move(t)));
-    }
-    if (!options_.use_union_input) {
-      for (int s = 0; s < num_shards; ++s) {
-        VX_ASSIGN_OR_RETURN(auto side,
-                            BuildEdgeJoinSide(sharded_->edge.shard(s)));
-        sharded_->edge_join_side.push_back(std::move(side));
-      }
-    }
-    sharded_->edge_csr.resize(static_cast<size_t>(num_shards));
-    sharded_->edge_csr_failed.assign(static_cast<size_t>(num_shards), 0);
-    // Post-scatter audit: the vertex/edge PartitionSets self-audited inside
-    // Build; the message shards scattered here carry the same obligations
-    // (structure + every row owned by its shard).
-    for (int s = 0; s < num_shards; ++s) {
-      const auto& ms = sharded_->message[static_cast<size_t>(s)];
-      VX_DCHECK_OK(ms->CheckInvariants());
-      VX_DCHECK_OK(AuditShardPlacement(*ms, mdst_c, sharded_->spec, s));
-    }
-  }
-  const int64_t total_vertices = sharded_->vertex.total_rows();
+  // Publishes the resident vertex and message shards (checkpoints, run end).
+  const auto publish = [&]() -> Status {
+    VX_RETURN_NOT_OK(
+        PublishSorted(catalog_, names_.vertex, vertex, "id", knobs.encoding));
+    return PublishSorted(catalog_, names_.message, message, "dst",
+                         knobs.encoding);
+  };
 
   for (int superstep = first_superstep;
        superstep < options_.max_supersteps; ++superstep) {
-    // Superstep boundary: see the unsharded loop — the resident shards
-    // hold the last completed superstep's consistent state.
+    // Superstep boundary: the natural stopping point of a cancelled or
+    // past-deadline run — the catalog still holds the run's input or its
+    // last checkpoint.
     VX_RETURN_NOT_OK(CheckAmbientCancel());
     VX_FAULT_POINT("coordinator.superstep");
     WallTimer step_timer;
 
-    // Stored-procedure loop condition, over the resident shards.
-    int64_t message_rows = 0;
-    for (const auto& m : sharded_->message) message_rows += m->num_rows();
-    if (superstep > 0 && message_rows == 0) {
+    // Stored-procedure loop condition: "it runs as long as there is any
+    // message for the next superstep" (plus Pregel's not-yet-halted rule).
+    if (superstep > 0 && message.total_rows() == 0) {
       bool all_halted = true;
       for (int s = 0; s < num_shards && all_halted; ++s) {
-        all_halted = AllHalted(*sharded_->vertex.shard(s));
+        all_halted = AllHalted(*vertex.shard(s));
       }
       if (all_halted) break;
     }
@@ -1058,13 +793,15 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       shared->aggregator_names.push_back(spec.name);
     }
 
-    // Vertex batching within each shard uses the *global* partition count:
-    // a shard's rows only hash into its own contiguous partition block, so
-    // the per-shard batches, their order, and therefore every per-vertex
-    // tuple stream are exactly those of an unsharded pass.
+    // Vertex batching (§2.3): hash partition on vertex id (column 0), sort
+    // each partition on id, and run the worker UDFs in parallel. Within a
+    // shard the *global* partition count is used: a shard's rows only hash
+    // into its own contiguous partition block, so the per-shard batches,
+    // their order, and every per-vertex tuple stream are those of the
+    // whole tables.
     TransformOptions topts;
     topts.num_workers = options_.num_workers;
-    topts.num_partitions = base_partitions;
+    topts.num_partitions = sharding.base_partitions;
     topts.sort_columns = {0};
     TransformUdfFactory factory;
     if (options_.use_union_input) {
@@ -1082,60 +819,50 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       int64_t input_rows = 0;
       bool used_frontier = false;
       int64_t frontier_vertices = 0;
+      double input_seconds = 0.0;
+      double split_seconds = 0.0;
       Table updates;
       Table messages;
       WorkerOutputScan scan;
       JoinPathStats join_stats;
     };
-    std::vector<ShardStep> step(static_cast<size_t>(num_shards));
-
-    const ExecKnobs knobs = ExecKnobs::Capture();
+    std::vector<ShardStep> step(num_shards_z);
 
     WallTimer phase_timer;
     VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
-        0, static_cast<size_t>(num_shards), /*grain=*/1,
+        0, num_shards_z, /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
-          // Pool threads don't inherit the caller's thread-local knobs;
-          // reinstall them so the per-shard plans behave exactly like the
-          // unsharded loop's, and give each shard its own join-path
-          // collector (the ambient one is thread-local too).
+          // Each shard reports joins into its own collector (the ambient
+          // one is thread-local too).
           ScopedExecKnobs scoped_knobs(knobs);
           for (size_t s = begin; s < end; ++s) {
             ShardStep& st = step[s];
             ScopedJoinStatsCollector collector(&st.join_stats);
-            const auto& vs = sharded_->vertex.shard(static_cast<int>(s));
-            const auto& es = sharded_->edge.shard(static_cast<int>(s));
-            const auto& ms = sharded_->message[s];
-            // Frontier decision per shard: a shard's active fraction is
-            // its own (one dense hub shard doesn't force the whole
-            // superstep dense). Value-neutral either way — the per-shard
-            // frontier build is the unsharded construction applied to the
-            // shard's slice of the partition blocks.
+            const auto& vs = vertex.shard(static_cast<int>(s));
+            const auto& es = edge.shard(static_cast<int>(s));
+            const auto& ms = message.shard(static_cast<int>(s));
+            EdgeShard& derived = edge_derived[s];
+
+            // ---- Worker input: frontier (sparse) or dense build. ------
+            // The frontier decision is part of the measured input phase:
+            // deriving the active set is a cost the sparse path pays. It
+            // is taken per shard — one dense hub shard doesn't force the
+            // whole superstep dense — and is value-neutral either way.
+            WallTimer shard_timer;
             Frontier frontier;
-            bool frontier_shard = ComputeFrontier(
-                *vs, *ms, knobs.frontier, superstep,
-                options_.frontier_threshold, &frontier);
+            bool frontier_shard =
+                ComputeFrontier(*vs, *ms, knobs.frontier, superstep,
+                                options_.frontier_threshold, &frontier);
+            // The frontier bitvector gates which vertices compute this
+            // superstep; its word-tail hygiene is what the
+            // popcount/AND/OR shortcuts assume.
             if (frontier_shard) {
               VX_DCHECK_OK(frontier.bits.CheckInvariants());
             }
             Table input;
             if (options_.use_union_input) {
-              const CsrIndex* csr = nullptr;
-              if (frontier_shard && !sharded_->edge_csr_failed[s]) {
-                if (sharded_->edge_csr[s] == nullptr) {
-                  const Column* src = es->ColumnByName("src");
-                  if (src != nullptr) {
-                    sharded_->edge_csr[s] = CsrIndex::Build(*src);
-                    if (sharded_->edge_csr[s] != nullptr) {
-                      VX_DCHECK_OK(
-                          sharded_->edge_csr[s]->CheckInvariants(*src));
-                    }
-                  }
-                  sharded_->edge_csr_failed[s] =
-                      sharded_->edge_csr[s] == nullptr ? 1 : 0;
-                }
-                csr = sharded_->edge_csr[s].get();
-              }
+              const CsrIndex* csr =
+                  frontier_shard ? EdgeCsr(*es, &derived) : nullptr;
               frontier_shard = frontier_shard && csr != nullptr;
               if (frontier_shard) {
                 VX_ASSIGN_OR_RETURN(
@@ -1145,40 +872,60 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
                 VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vs, es, ms));
               }
             } else {
+              if (derived.join_side == nullptr) {
+                VX_ASSIGN_OR_RETURN(derived.join_side, BuildEdgeJoinSide(es));
+              }
               if (frontier_shard) {
                 VX_ASSIGN_OR_RETURN(
-                    input, BuildJoinInputFrontier(
-                               vs, sharded_->edge_join_side[s], ms,
-                               frontier.bits));
+                    input, BuildJoinInputFrontier(vs, derived.join_side, ms,
+                                                  frontier.bits));
               } else {
-                VX_ASSIGN_OR_RETURN(
-                    input, BuildJoinInputWithEdgeSide(
-                               vs, sharded_->edge_join_side[s], ms));
+                VX_ASSIGN_OR_RETURN(input, BuildJoinInputWithEdgeSide(
+                                               vs, derived.join_side, ms));
               }
             }
             st.used_frontier = frontier_shard;
             st.frontier_vertices = frontier_shard ? frontier.active : 0;
             st.input_rows = input.num_rows();
+            st.input_seconds = shard_timer.ElapsedSeconds();
+
             VX_ASSIGN_OR_RETURN(Table out_table,
                                 ApplyTransform(input, 0, factory, topts));
+            // Shared snapshot so the split scans range-scan it in parallel
+            // without copying.
             const auto out =
                 std::make_shared<const Table>(std::move(out_table));
+            shard_timer.Restart();
             VX_ASSIGN_OR_RETURN(SplitOutputs split,
                                 SplitWorkerOutput(out, va, ma));
             st.updates = std::move(split.updates);
             st.messages = std::move(split.messages);
             st.scan = std::move(split.scan);
+            st.split_seconds = shard_timer.ElapsedSeconds();
           }
           return Status::OK();
         },
         knobs.threads));
-    const double worker_seconds = phase_timer.ElapsedSeconds();
+    // Critical-path phase times of the shard-parallel span (see
+    // SuperstepStats): the slowest shard's input build and split, and the
+    // remainder as worker time.
+    const double shard_seconds = phase_timer.ElapsedSeconds();
+    double input_seconds = 0.0;
+    double shard_split_seconds = 0.0;
+    for (const ShardStep& st : step) {
+      input_seconds = std::max(input_seconds, st.input_seconds);
+      shard_split_seconds = std::max(shard_split_seconds, st.split_seconds);
+    }
+    shard_split_seconds =
+        std::min(shard_split_seconds, shard_seconds - input_seconds);
+    const double worker_seconds =
+        shard_seconds - input_seconds - shard_split_seconds;
     phase_timer.Restart();
 
     // ---- Merge shard results in shard order. ---------------------------
-    // Shards are contiguous partition blocks, so concatenation in shard
-    // order *is* the unsharded worker-output row order — the aggregate
-    // fold below replays exactly the unsharded merge sequence.
+    // Shards are contiguous partition blocks, so shard order *is* the
+    // whole-table worker-output row order — the aggregate fold below
+    // replays the same merge sequence at every shard count.
     int64_t input_rows = 0;
     int64_t active = 0;
     int64_t total_updates = 0;
@@ -1193,7 +940,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       MergeAggregateRows(agg_specs, st.scan.aggregate_rows, &new_aggregates);
     }
 
-    // ---- Message exchange (the only cross-shard traffic). --------------
+    // ---- Message exchange. ----------------------------------------------
     // Phase boundary: a worker failure surfaces here in a distributed
     // deployment (ROADMAP #1), so the exchange carries a fault site.
     VX_FAULT_POINT("coordinator.exchange");
@@ -1202,64 +949,67 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
     // FP fold — then scatter on receiver back to the shards. The scatter
     // preserves per-receiver order, and a per-shard stable sort by dst
     // equals the global sort restricted to the shard, so next superstep's
-    // message streams are bit-identical to the unsharded path's.
+    // message streams are bit-identical at any shard count. One shard
+    // moves its table through: nothing to concatenate or route.
     int64_t cross_shard = 0;
-    Table global_messages(step[0].messages.schema());
-    for (int s = 0; s < num_shards; ++s) {
-      const Table& msgs = step[static_cast<size_t>(s)].messages;
-      if (stats != nullptr) {
-        // Boundary-crossing counter only: one hash per produced message,
-        // skipped entirely when nobody collects stats.
-        VX_ASSIGN_OR_RETURN(int pdst_c, msgs.ColumnIndex("dst"));
-        const auto& dsts = msgs.column(pdst_c).ints();
-        for (int64_t r = 0; r < msgs.num_rows(); ++r) {
-          if (sharded_->spec.ShardOfKey(dsts[static_cast<size_t>(r)]) != s) {
-            ++cross_shard;
+    Table produced;
+    if (num_shards == 1) {
+      produced = std::move(step[0].messages);
+    } else {
+      produced = Table(step[0].messages.schema());
+      for (int s = 0; s < num_shards; ++s) {
+        const Table& msgs = step[static_cast<size_t>(s)].messages;
+        if (stats != nullptr) {
+          // Boundary-crossing counter only: one hash per produced
+          // message, skipped entirely when nobody collects stats.
+          VX_ASSIGN_OR_RETURN(int pdst_c, msgs.ColumnIndex("dst"));
+          const auto& dsts = msgs.column(pdst_c).ints();
+          for (int64_t r = 0; r < msgs.num_rows(); ++r) {
+            if (sharding.ShardOfKey(dsts[static_cast<size_t>(r)]) != s) {
+              ++cross_shard;
+            }
           }
         }
+        VX_RETURN_NOT_OK(produced.Append(msgs));
       }
-      VX_RETURN_NOT_OK(global_messages.Append(msgs));
     }
-    VX_ASSIGN_OR_RETURN(global_messages,
-                        CombineMessages(std::move(global_messages)));
-    const int64_t messages_sent = global_messages.num_rows();
-    VX_ASSIGN_OR_RETURN(int dst_c, global_messages.ColumnIndex("dst"));
-    VX_ASSIGN_OR_RETURN(
-        std::vector<Table> routed,
-        ShardScatter(global_messages, dst_c, sharded_->spec));
-    std::vector<int64_t> shard_message_rows(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      Table inbound = std::move(routed[static_cast<size_t>(s)]);
-      // Sorted-message invariant (order-aware joins), per shard; mirrors
-      // the unsharded loop and is likewise not gated on the merge knob.
-      if (!options_.use_union_input) {
-        VX_ASSIGN_OR_RETURN(int dc, inbound.ColumnIndex("dst"));
-        if (inbound.num_rows() > 0 && !OrderedByColumn(inbound, "dst")) {
-          inbound = SortTable(inbound, {{dc, true}});
-        } else if (inbound.sort_order().empty()) {
-          inbound.SetSortOrder({{dc, true}});
+    VX_ASSIGN_OR_RETURN(produced, CombineMessages(std::move(produced)));
+    const int64_t messages_sent = produced.num_rows();
+    std::vector<Table> inbound;
+    if (num_shards == 1) {
+      inbound.push_back(std::move(produced));
+    } else {
+      VX_ASSIGN_OR_RETURN(int dst_c, produced.ColumnIndex("dst"));
+      VX_ASSIGN_OR_RETURN(inbound, ShardScatter(produced, dst_c, sharding));
+    }
+    // Sorted-message invariant (order-aware joins): keep each stored
+    // message shard sorted by receiver so the next superstep's vertex ⟕
+    // message join merges instead of hashing. The sort is stable, so each
+    // receiver's messages keep their arrival order. Only the join-input
+    // path benefits, so only it pays; not gated on the merge knob (see the
+    // bit-identity note at the top of Run).
+    if (!options_.use_union_input) {
+      for (Table& t : inbound) {
+        VX_ASSIGN_OR_RETURN(int dst_c, t.ColumnIndex("dst"));
+        if (t.num_rows() > 0 && !OrderedByColumn(t, "dst")) {
+          t = SortTable(t, {{dst_c, true}});
+        } else if (t.sort_order().empty()) {
+          t.SetSortOrder({{dst_c, true}});  // 0 rows: vacuously so
         }
       }
-      if (knobs.encoding != EncodingMode::kOff) {
-        inbound.EncodeColumns(knobs.encoding);
-      }
-      shard_message_rows[static_cast<size_t>(s)] = inbound.num_rows();
-      sharded_->message[static_cast<size_t>(s)] =
-          std::make_shared<const Table>(std::move(inbound));
-      // Post-exchange audit: each shard's inbound message table must honor
-      // its structural claims (the declared dst order feeds next
-      // superstep's merge joins) and hold only messages routed to it.
-      const auto& routed_in = sharded_->message[static_cast<size_t>(s)];
-      VX_DCHECK_OK(routed_in->CheckInvariants());
-      VX_DCHECK_OK(AuditShardPlacement(*routed_in, dst_c, sharded_->spec, s));
     }
-    const double split_seconds = phase_timer.ElapsedSeconds();
+    const double split_seconds =
+        shard_split_seconds + phase_timer.ElapsedSeconds();
     phase_timer.Restart();
 
     // ---- Update vs. replace (§2.3), per shard. -------------------------
-    // One global decision from the global update fraction (matching the
-    // unsharded path), applied shard-locally — worker updates only ever
-    // target vertices of their own shard.
+    // One global decision from the global update fraction, applied
+    // shard-locally — worker updates only ever target vertices of their
+    // own shard. Both stored tables are (re-)encoded before the swap so
+    // they stay compressed between supersteps (storage/encoding.h); the
+    // next superstep's scans decode lazily, and whole-table passes like
+    // AllHalted read runs directly. Value-neutral: results are
+    // bit-identical with the encoding knob off.
     bool used_replace = false;
     if (total_updates > 0) {
       const double frac =
@@ -1267,7 +1017,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
           static_cast<double>(std::max<int64_t>(1, total_vertices));
       used_replace = frac >= options_.update_threshold;
       VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
-          0, static_cast<size_t>(num_shards), /*grain=*/1,
+          0, num_shards_z, /*grain=*/1,
           [&](size_t begin, size_t end) -> Status {
             ScopedExecKnobs scoped_knobs(knobs);
             for (size_t s = begin; s < end; ++s) {
@@ -1275,7 +1025,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
               // The replace-path rebuild joins report into the shard's
               // collector, like the input-build joins above.
               ScopedJoinStatsCollector collector(&step[s].join_stats);
-              const auto& vs = sharded_->vertex.shard(static_cast<int>(s));
+              const auto& vs = vertex.shard(static_cast<int>(s));
               Table new_vertex;
               if (!used_replace) {
                 VX_ASSIGN_OR_RETURN(
@@ -1283,8 +1033,14 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
               } else {
                 VX_ASSIGN_OR_RETURN(
                     new_vertex, RebuildVertices(*vs, step[s].updates));
-                // Both input paths, like the unsharded loop: the sorted
-                // invariant feeds the merge joins and the frontier.
+                // The anti-join ∪ union rebuild breaks the sorted-by-id
+                // invariant (updated rows land at the tail); restore it on
+                // both input paths — the join path's merge joins and the
+                // frontier's receiver binary search both key on it. Stable
+                // and id-keyed, so results are unchanged: every id owns
+                // exactly one vertex row and the worker input is
+                // stable-sorted by id per partition. Not gated on the
+                // merge or frontier knobs (see the note at the top of Run).
                 if (!OrderedByColumn(new_vertex, "id")) {
                   VX_ASSIGN_OR_RETURN(int id_c,
                                       new_vertex.ColumnIndex("id"));
@@ -1294,25 +1050,37 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
               if (knobs.encoding != EncodingMode::kOff) {
                 new_vertex.EncodeColumns(knobs.encoding);
               }
-              sharded_->vertex.ReplaceShard(static_cast<int>(s),
-                                            std::move(new_vertex));
+              vertex.ReplaceShard(static_cast<int>(s), std::move(new_vertex));
             }
             return Status::OK();
           },
           knobs.threads));
-      // Post-apply audit: ReplaceShard trusts callers to keep every row in
-      // its owning shard; re-prove it (plus per-shard structure) over the
-      // whole set before the next superstep reads it.
-      VX_DCHECK_OK(sharded_->vertex.CheckInvariants());
+      // Post-apply audit: every shard about to be read by the next
+      // superstep must honor the structural claims it carries (sorted-by-id
+      // declaration, encodings, zone maps) and hold only rows it owns —
+      // the obligation ReplaceShard callers take on.
+      VX_DCHECK_OK(vertex.CheckInvariants());
     }
+
+    std::vector<int64_t> shard_message_rows;
+    for (int s = 0; s < num_shards; ++s) {
+      Table& t = inbound[static_cast<size_t>(s)];
+      if (knobs.encoding != EncodingMode::kOff) {
+        t.EncodeColumns(knobs.encoding);
+      }
+      if (num_shards > 1) shard_message_rows.push_back(t.num_rows());
+      message.ReplaceShard(s, std::move(t));
+    }
+    // Post-exchange audit: each inbound message shard must honor its
+    // structural claims (the declared dst order feeds next superstep's
+    // merge joins) and hold only messages routed to it.
+    VX_DCHECK_OK(message.CheckInvariants());
 
     int64_t encoded_bytes = 0;
     int64_t decoded_bytes = 0;
     for (int s = 0; s < num_shards; ++s) {
-      AccountTableBytes(*sharded_->vertex.shard(s), &encoded_bytes,
-                        &decoded_bytes);
-      AccountTableBytes(*sharded_->message[static_cast<size_t>(s)],
-                        &encoded_bytes, &decoded_bytes);
+      AccountTableBytes(*vertex.shard(s), &encoded_bytes, &decoded_bytes);
+      AccountTableBytes(*message.shard(s), &encoded_bytes, &decoded_bytes);
     }
     prev_aggregates_ = std::move(new_aggregates);
 
@@ -1325,16 +1093,18 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       s.messages_sent = messages_sent;
       s.seconds = step_timer.ElapsedSeconds();
       s.used_replace = used_replace;
-      s.worker_seconds = worker_seconds;  // fused input build + compute
-      s.split_seconds = split_seconds;    // split + message exchange
+      s.input_seconds = input_seconds;
+      s.worker_seconds = worker_seconds;
+      s.split_seconds = split_seconds;
       s.apply_seconds = phase_timer.ElapsedSeconds();
       s.encoded_bytes = encoded_bytes;
       s.decoded_bytes = decoded_bytes;
       s.shards = num_shards;
       s.cross_shard_messages = cross_shard;
+      s.shard_messages = std::move(shard_message_rows);
       JoinPathStats join_stats;
       for (const ShardStep& st : step) {
-        s.shard_input_rows.push_back(st.input_rows);
+        if (num_shards > 1) s.shard_input_rows.push_back(st.input_rows);
         s.used_frontier = s.used_frontier || st.used_frontier;
         s.frontier_vertices += st.frontier_vertices;
         join_stats.merge_joins += st.join_stats.merge_joins;
@@ -1344,7 +1114,6 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
         join_stats.merge_seconds += st.join_stats.merge_seconds;
         join_stats.hash_seconds += st.join_stats.hash_seconds;
       }
-      s.shard_messages = shard_message_rows;
       s.merge_joins = join_stats.merge_joins;
       s.hash_joins = join_stats.hash_joins;
       s.join_rows = join_stats.merge_rows + join_stats.hash_rows;
@@ -1357,52 +1126,21 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
 
     if (options_.checkpoint_every > 0 &&
         (superstep + 1) % options_.checkpoint_every == 0) {
-      VX_RETURN_NOT_OK(FlushShardsToCatalog());
+      VX_RETURN_NOT_OK(publish());
       Table marker(Schema({{"next_superstep", DataType::kInt64}}));
       VX_RETURN_NOT_OK(
           marker.AppendRow({Value(static_cast<int64_t>(superstep + 1))}));
-      VX_RETURN_NOT_OK(
-          catalog_->ReplaceTable(MarkerName(names_), std::move(marker)));
+      VX_RETURN_NOT_OK(catalog_->ReplaceTable(marker_name, std::move(marker)));
       VX_RETURN_NOT_OK(SaveCatalog(*catalog_, options_.checkpoint_dir));
     }
 
     if (active == 0 && messages_sent == 0) break;
   }
-  // Publish the final shard state so catalog readers (ReadVertexValues,
-  // follow-up SQL) see the finished run like an unsharded one.
-  VX_RETURN_NOT_OK(FlushShardsToCatalog());
+  // Publish the final state so catalog readers (ReadVertexValues,
+  // follow-up SQL) see the finished run.
+  VX_RETURN_NOT_OK(publish());
   if (stats != nullptr) stats->total_seconds = total_timer.ElapsedSeconds();
   return Status::OK();
-}
-
-Status Coordinator::FlushShardsToCatalog() const {
-  if (sharded_ == nullptr) return Status::OK();
-  Table vertex(sharded_->vertex.shard(0)->schema());
-  for (int s = 0; s < sharded_->vertex.num_shards(); ++s) {
-    VX_RETURN_NOT_OK(vertex.Append(*sharded_->vertex.shard(s)));
-  }
-  // Hash blocks interleave ids, so the concatenation is not id-ordered;
-  // re-sort (stable, id-keyed — values unchanged) so the stored table
-  // carries the same sorted invariant the unsharded path maintains.
-  VX_ASSIGN_OR_RETURN(int id_c, vertex.ColumnIndex("id"));
-  vertex = SortTable(vertex, {{id_c, true}});
-  Table message(sharded_->message[0]->schema());
-  for (const auto& m : sharded_->message) {
-    VX_RETURN_NOT_OK(message.Append(*m));
-  }
-  VX_ASSIGN_OR_RETURN(int dst_c, message.ColumnIndex("dst"));
-  message = SortTable(message, {{dst_c, true}});
-  const EncodingMode mode = AmbientEncodingMode();
-  if (mode != EncodingMode::kOff) {
-    vertex.EncodeColumns(mode);
-    message.EncodeColumns(mode);
-  }
-  // Post-flush audit: the concatenated, re-sorted, re-encoded tables are
-  // what catalog readers will trust from here on.
-  VX_DCHECK_OK(vertex.CheckInvariants());
-  VX_DCHECK_OK(message.CheckInvariants());
-  VX_RETURN_NOT_OK(catalog_->ReplaceTable(names_.vertex, std::move(vertex)));
-  return catalog_->ReplaceTable(names_.message, std::move(message));
 }
 
 Status RunVertexProgram(Catalog* catalog, const Graph& graph,

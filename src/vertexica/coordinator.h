@@ -63,15 +63,20 @@ struct SuperstepStats {
   int64_t decoded_bytes = 0;
   /// @}
 
-  /// \name Sharded-dataflow accounting (storage/partition.h)
-  /// Filled when the coordinator runs the persistent-sharding path
-  /// (shards > 1): per-shard worker-input and stored-message row counts
-  /// (indexed by shard id), and how many produced messages had to cross a
-  /// shard boundary in the between-superstep exchange. Unsharded runs
-  /// report shards = 1 with empty vectors. On sharded runs the phase
-  /// breakdown attributes the fused per-shard input build + worker compute
-  /// to `worker_seconds` (input_seconds stays 0) and the message exchange
-  /// to `split_seconds`.
+  /// \name Shard accounting (storage/partition.h)
+  /// Every run executes the resident-shard dataflow; these fields describe
+  /// its shards when there is more than one: per-shard worker-input and
+  /// stored-message row counts (indexed by shard id), and how many produced
+  /// messages crossed a shard boundary in the between-superstep exchange.
+  /// One-shard runs report shards = 1, empty vectors and 0 crossings.
+  ///
+  /// Shards run their input build, worker and split in parallel, so the
+  /// phase breakdown reports critical-path times: `input_seconds` is the
+  /// slowest shard's input build (frontier decision included),
+  /// `split_seconds` the slowest shard's worker-output split plus the
+  /// message exchange (combiner, routing, receiver sort), and
+  /// `worker_seconds` the rest of the shard-parallel span (partition, sort
+  /// and Compute). At one shard each phase is exactly that phase's time.
   /// @{
   int shards = 1;
   std::vector<int64_t> shard_input_rows;
@@ -83,9 +88,9 @@ struct SuperstepStats {
   /// Whether this superstep's worker input was built from the sparse
   /// active-vertex frontier instead of the full tables, and how many
   /// vertices the frontier contained (the active-set popcount; 0 on dense
-  /// supersteps). On sharded runs the decision is per shard:
-  /// `used_frontier` is true when any shard took the frontier path and
-  /// `frontier_vertices` sums the frontier shards' active counts.
+  /// supersteps). The decision is per shard: `used_frontier` is true when
+  /// any shard took the frontier path and `frontier_vertices` sums the
+  /// frontier shards' active counts.
   /// @{
   bool used_frontier = false;
   int64_t frontier_vertices = 0;
@@ -146,18 +151,24 @@ class Coordinator {
  public:
   Coordinator(Catalog* catalog, VertexProgram* program,
               VertexicaOptions options = {}, GraphTableNames names = {});
-  ~Coordinator();
 
   /// \brief Runs supersteps until no messages remain and all vertices have
   /// voted to halt (or max_supersteps is reached).
   ///
-  /// With an effective shard count > 1 (VertexicaOptions::num_shards, else
-  /// the ambient ExecShards() knob) the run takes the persistent-sharding
-  /// path: vertex and edge tables are partitioned on vertex id once, kept
-  /// resident across supersteps, and each superstep runs the per-shard
-  /// dataflow shard-wise in parallel, exchanging only cross-shard messages
-  /// in between. Results are bit-identical to the unsharded path at any
-  /// shard count.
+  /// One superstep loop serves every shard count (VertexicaOptions::
+  /// num_shards, else the ambient ExecShards() knob, capped at the
+  /// vertex-batching partition count): the vertex, edge and message tables
+  /// are partitioned on vertex id once, kept resident across supersteps,
+  /// and each superstep runs the per-shard dataflow shard-wise in parallel,
+  /// exchanging messages in between. One shard is the degenerate case: the
+  /// shard sets hold the catalog's snapshots themselves and nothing is
+  /// scattered or copied. Results are bit-identical at any shard count.
+  ///
+  /// Catalog contract: the vertex and message tables are published to the
+  /// catalog at checkpoints and at run end, not after every superstep.
+  /// After an error return the catalog holds the run's input tables or its
+  /// last checkpoint. A restored checkpoint marker that is not exactly one
+  /// non-null INT64 value >= 0 is rejected with InvalidArgument.
   Status Run(RunStats* stats = nullptr);
 
   /// \brief Global aggregator values from the final superstep.
@@ -172,11 +183,8 @@ class Coordinator {
 
   Result<Table> BuildUnionInput(const TablePtr& vertex, const TablePtr& edge,
                                 const TablePtr& message) const;
-  Result<Table> BuildJoinInput(const TablePtr& vertex, const TablePtr& edge,
-                               const TablePtr& message) const;
   /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
-  /// side of an edge table — the per-run cacheable half of BuildJoinInput;
-  /// the sharded path builds one per edge shard.
+  /// side of an edge table — built once per edge shard per run.
   Result<TablePtr> BuildEdgeJoinSide(const TablePtr& edge) const;
   /// The per-superstep half: vertex ⟕ message ⟕ prebuilt edge side.
   Result<Table> BuildJoinInputWithEdgeSide(const TablePtr& vertex,
@@ -226,54 +234,11 @@ class Coordinator {
   Status RestoreSortedInvariant(const std::string& table_name,
                                 const std::vector<std::string>& keys) const;
 
-  /// The persistent-sharding superstep loop (see Run). `num_shards` > 1,
-  /// already clamped to the vertex-batching partition count.
-  Status RunSharded(RunStats* stats, int num_shards, int base_partitions,
-                    int first_superstep);
-
-  /// Writes the resident shards back to the catalog (vertex re-sorted by
-  /// id, messages re-sorted by receiver) — run end and checkpoints.
-  Status FlushShardsToCatalog() const;
-
   Catalog* catalog_;
   VertexProgram* program_;
   VertexicaOptions options_;
   GraphTableNames names_;
   std::map<std::string, double> prev_aggregates_;
-
-  /// Structures derived from one edge-table snapshot, cached together and
-  /// invalidated together by snapshot identity — the coordinator re-fetches
-  /// the stored edge table every superstep, so replacing it (the
-  /// dynamic-graph path) changes `source` and rebuilds both members on
-  /// first use. `join_side` is the (esrc, edst, eweight, edge_seq)
-  /// projection with the esrc column kept RLE-encoded so the merge join
-  /// matches whole runs; `csr` is the per-source-vertex row-slice index the
-  /// frontier gathers use (csr_failed remembers an unbuildable layout so an
-  /// unsorted edge table is probed once per snapshot, not per superstep).
-  /// The message/vertex sides change every superstep and are not cacheable.
-  struct EdgeDerived {
-    TablePtr source;
-    TablePtr join_side;                   ///< lazy; join-input path
-    std::shared_ptr<const CsrIndex> csr;  ///< lazy; union frontier path
-    bool csr_failed = false;
-  };
-  /// Drops the cache when `edge` is a different snapshot than the one the
-  /// cached structures were derived from.
-  void SyncEdgeDerived(const TablePtr& edge) const;
-  /// The cached join side for `edge`, building it on first use.
-  Result<TablePtr> EdgeJoinSideFor(const TablePtr& edge) const;
-  /// The cached CSR index for `edge`, building it on first use; nullptr
-  /// when the edge table's src column is not grouped (callers fall back to
-  /// the dense path).
-  const CsrIndex* EdgeCsrFor(const TablePtr& edge) const;
-
-  mutable EdgeDerived edge_derived_;
-
-  /// Resident shard state of the persistent-sharding path (vertex/edge
-  /// PartitionSets, per-shard message tables and cached edge join sides);
-  /// null on unsharded runs. Defined in coordinator.cc.
-  struct ShardedState;
-  std::unique_ptr<ShardedState> sharded_;
 };
 
 /// \brief Convenience entry point: loads `graph` into `catalog` (vertex,

@@ -35,7 +35,7 @@ struct VertexicaOptions {
   /// supersteps. Shards are contiguous blocks of the vertex-batching
   /// partitions, so results are bit-identical at any shard count.
   /// 0 = the ambient ExecShards() (RunRequest::shards / VERTEXICA_SHARDS,
-  /// default 1); 1 = the unsharded per-superstep partitioning path.
+  /// default 1); 1 = one resident shard holding the whole tables.
   int num_shards = 0;
 
   /// §2.3 "Table Unions": feed workers the renamed union of the vertex,

@@ -778,7 +778,7 @@ TEST(CheckpointFaultTest, FailedCheckpointResumesBitIdentical) {
 TEST(CheckpointFaultTest, FailedCheckpointResumesBitIdenticalSharded) {
   VertexicaOptions opts;
   opts.num_workers = 2;
-  opts.num_shards = 4;  // > 1 engages RunSharded's checkpoint/resume path
+  opts.num_shards = 4;  // checkpoints publish by concatenating the shards
   opts.num_partitions = 16;
   opts.use_union_input = false;
   RunCheckpointFaultResumeCase("vx_fault_resume_sharded", opts);
@@ -823,28 +823,70 @@ TEST(CoordinatorFaultTest, SuperstepFaultAbortsAndCleanRerunIsBitIdentical) {
 
 TEST(CoordinatorFaultTest, ExchangeFaultAbortsShardedRun) {
   Graph g = GenerateRmat(50, 250, 98);
-  VertexicaOptions opts;
-  opts.num_shards = 4;  // > 1 engages RunSharded and its exchange phase
-  opts.num_partitions = 8;
-  opts.use_union_input = false;
+  // Every run exchanges messages between supersteps — one shard included —
+  // so the fault site fires at any shard count.
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE(num_shards);
+    VertexicaOptions opts;
+    opts.num_shards = num_shards;
+    opts.num_partitions = 8;
+    opts.use_union_input = false;
 
-  // The message exchange is the only cross-shard phase — a worker failure
-  // in a distributed deployment surfaces exactly here.
-  Catalog cat;
-  PageRankProgram program(5);
-  ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
-  Coordinator interrupted(&cat, &program, opts);
-  ArmFault("coordinator.exchange", 1, FaultAction::kError);
-  const Status st = interrupted.Run();
-  DisarmAllFaults();
-  ASSERT_TRUE(st.IsAborted()) << st.ToString();
-  EXPECT_NE(st.ToString().find("coordinator.exchange"), std::string::npos);
+    // The message exchange is the only cross-shard phase — a worker
+    // failure in a distributed deployment surfaces exactly here.
+    Catalog cat;
+    PageRankProgram program(5);
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    Coordinator interrupted(&cat, &program, opts);
+    ArmFault("coordinator.exchange", 1, FaultAction::kError);
+    const Status st = interrupted.Run();
+    DisarmAllFaults();
+    ASSERT_TRUE(st.IsAborted()) << st.ToString();
+    EXPECT_NE(st.ToString().find("coordinator.exchange"), std::string::npos);
 
-  Catalog clean;
-  PageRankProgram program2(5);
-  ASSERT_TRUE(LoadGraphTables(&clean, g, program2).ok());
-  Coordinator rerun(&clean, &program2, opts);
-  EXPECT_TRUE(rerun.Run().ok());
+    Catalog clean;
+    PageRankProgram program2(5);
+    ASSERT_TRUE(LoadGraphTables(&clean, g, program2).ok());
+    Coordinator rerun(&clean, &program2, opts);
+    EXPECT_TRUE(rerun.Run().ok());
+  }
+}
+
+TEST(CheckpointFaultTest, MalformedMarkerIsRejectedWithStatus) {
+  // The superstep marker comes off disk: anything but exactly one non-null
+  // INT64 value >= 0 must come back as InvalidArgument naming the table,
+  // never an abort or an out-of-bounds read.
+  Graph g = GenerateRmat(30, 120, 99);
+  const std::string marker_name = "vertex__vx_next_superstep";
+  std::vector<std::pair<std::string, Table>> bad;
+  {
+    Table t(Schema({{"next_superstep", DataType::kDouble}}));
+    ASSERT_TRUE(t.AppendRow({Value(2.0)}).ok());
+    bad.emplace_back("double column", std::move(t));
+  }
+  {
+    Table t(Schema({{"next_superstep", DataType::kInt64}}));
+    ASSERT_TRUE(t.AppendRow({Value::Null()}).ok());
+    bad.emplace_back("null value", std::move(t));
+  }
+  {
+    Table t(Schema({{"next_superstep", DataType::kInt64}}));
+    ASSERT_TRUE(t.AppendRow({Value(int64_t{-3})}).ok());
+    bad.emplace_back("negative value", std::move(t));
+  }
+  for (auto& [what, marker] : bad) {
+    SCOPED_TRACE(what);
+    PageRankProgram program(4);
+    Catalog cat;
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    ASSERT_TRUE(cat.ReplaceTable(marker_name, std::move(marker)).ok());
+    VertexicaOptions opts;
+    opts.resume_from_checkpoint = true;
+    Coordinator coordinator(&cat, &program, opts);
+    const Status st = coordinator.Run();
+    ASSERT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.ToString().find(marker_name), std::string::npos);
+  }
 }
 
 TEST(CheckpointCrashDeathTest, CrashLeavesLastGoodGenerationRestorable) {

@@ -915,6 +915,31 @@ TEST(ShardingTest, MetadataRetainedPerShard) {
   }
 }
 
+TEST(ShardingTest, OneShardHoldsItsInput) {
+  // The degenerate shard set is its input: the snapshot itself, with its
+  // encodings and sort order, not a scattered or re-encoded copy — the
+  // one-shard superstep dataflow copies no table.
+  Table t(Schema({{"key", DataType::kInt64}, {"pos", DataType::kInt64}}));
+  for (int64_t i = 0; i < 256; ++i) {
+    VX_CHECK_OK(t.AppendRow({Value(i / 16), Value(i)}));
+  }
+  t = SortTable(t, {{0, true}});
+  ASSERT_TRUE(t.mutable_column(0)->Encode(EncodingMode::kForce));
+  t.SetSortOrder({{0, true}});
+  ShardingSpec spec;  // one shard
+  const auto snapshot = std::make_shared<const Table>(t);
+  auto set = PartitionSet::Build(snapshot, 0, spec);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  EXPECT_EQ(set->shard(0).get(), snapshot.get());
+
+  auto buckets = ShardScatter(t, 0, spec);
+  ASSERT_TRUE(buckets.ok());
+  ASSERT_EQ(buckets->size(), 1u);
+  EXPECT_EQ((*buckets)[0].column(0).encoding(), ColumnEncoding::kRle);
+  EXPECT_TRUE((*buckets)[0].OrderCoversKeys({0}));
+  EXPECT_EQ((*buckets)[0].num_rows(), t.num_rows());
+}
+
 TEST(ShardingTest, MalformedSpecFails) {
   const Table t = KeyedTable(10, /*with_nulls=*/false);
   ShardingSpec spec;

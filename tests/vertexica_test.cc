@@ -117,16 +117,24 @@ TEST(PageRankVertexCentricTest, StatsRecordSupersteps) {
 }
 
 TEST(PageRankVertexCentricTest, PhaseBreakdownSumsToStepTime) {
+  // The same phase accounting at every shard count: each shard times its
+  // own input build, so input_seconds is never folded into worker time.
   Graph g = GenerateRmat(128, 900, 18);
-  Catalog cat;
-  RunStats stats;
-  ASSERT_TRUE(RunPageRank(&cat, g, 4, 0.85, {}, &stats).ok());
-  for (const auto& s : stats.supersteps) {
-    const double phases = s.input_seconds + s.worker_seconds +
-                          s.split_seconds + s.apply_seconds;
-    EXPECT_GT(phases, 0.0);
-    EXPECT_LE(phases, s.seconds * 1.05 + 1e-3);
-    EXPECT_GT(s.input_rows, 0);
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE(num_shards);
+    VertexicaOptions opts;
+    opts.num_shards = num_shards;
+    Catalog cat;
+    RunStats stats;
+    ASSERT_TRUE(RunPageRank(&cat, g, 4, 0.85, opts, &stats).ok());
+    for (const auto& s : stats.supersteps) {
+      const double phases = s.input_seconds + s.worker_seconds +
+                            s.split_seconds + s.apply_seconds;
+      EXPECT_GT(phases, 0.0);
+      EXPECT_LE(phases, s.seconds * 1.05 + 1e-3);
+      EXPECT_GT(s.input_rows, 0);
+      EXPECT_GT(s.input_seconds, 0.0);
+    }
   }
 }
 
@@ -795,7 +803,7 @@ TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
   // End-to-end audit coverage: the tables a finished run publishes —
   // sort-order declarations, segment encodings, zone maps included — must
   // withstand the same CheckInvariants the VX_DCHECK tier applies at every
-  // phase boundary, on both the unsharded and sharded dataflows.
+  // phase boundary, at one shard and at several.
   Graph g = GenerateRmat(120, 600, 17);
   for (int shards : {0, 3}) {
     ScopedExecShards scoped(shards);
