@@ -19,7 +19,7 @@
 #include "algorithms/sssp.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "exec/frontier.h"
+#include "exec/exec_knobs.h"
 #include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "exec/scan.h"
@@ -291,7 +291,6 @@ void BM_SuperstepJoinPath(benchmark::State& state) {
   const Graph& g = GetDataset(DatasetId::kTwitter);
   VertexicaOptions opts;
   opts.use_union_input = false;
-  opts.use_merge_join = merge;
   // Always update in place so the only joins counted are the two input
   // builds per superstep (the replace-path rebuild adds an anti join with
   // an unsorted build side, which hashes by design).
@@ -300,6 +299,7 @@ void BM_SuperstepJoinPath(benchmark::State& state) {
   double seconds = 0;
   for (auto _ : state) {
     ScopedExecThreads scoped(threads);
+    ScopedMergeJoin merge_join(merge);
     Catalog catalog;
     RunStats stats;
     auto ranks = RunPageRank(&catalog, g, 5, 0.85, opts, &stats);
@@ -371,7 +371,7 @@ BENCHMARK(BM_ShardedSuperstep)
     ->Args({1, 1})->Args({1, 4})->Args({0, 1})->Args({0, 4})
     ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// ---- Active-vertex frontier supersteps (exec/frontier.h) ---------------
+// ---- Active-vertex frontier supersteps (docs/EXECUTOR.md) ---------------
 //
 // SSSP on a long-tail graph: an RMAT core with a long chain hanging off
 // the source's component. Once the core converges the distance wave crawls

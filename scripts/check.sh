@@ -47,8 +47,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # the order-aware join path must be a pure physical-plan swap — results
 # bit-identical with it disabled (docs/EXECUTOR.md).
 (cd "$BUILD_DIR" && VERTEXICA_MERGE_JOIN=off \
-    ctest -R 'exec_test|vertexica_test|api_test' --output-on-failure \
-    -j "$(nproc)")
+    ctest -R 'exec_test|vertexica_test|api_test|extensions_test|server_test' \
+    --output-on-failure -j "$(nproc)")
 
 # Same contract for the fused selection-vector σ/π core: pinning the
 # interpreter path must leave every expectation bit-identical
@@ -72,8 +72,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # superstep dataflow must be value-neutral too (docs/API.md), so every
 # vertexica/api expectation has to hold unchanged when all runs shard.
 (cd "$BUILD_DIR" && VERTEXICA_SHARDS=4 \
-    ctest -R 'vertexica_test|api_test|storage_test' --output-on-failure \
-    -j "$(nproc)")
+    ctest -R 'vertexica_test|api_test|storage_test|extensions_test|server_test' \
+    --output-on-failure -j "$(nproc)")
 
 # The serving subsystem by name (docs/SERVER.md): concurrent clients with
 # differing per-request knobs on one EngineServer must stay bit-identical

@@ -20,10 +20,11 @@ model) sneak in:
 
   R3  A ParallelFor(...) call whose body reads an ambient knob resolver
       (ExecThreads, ExecShards, AmbientEncodingMode, MergeJoinEnabled,
-      AmbientFrontierMode, ExecKnobs::Capture) must install captured knobs
-      via ScopedExecKnobs inside that body — pool threads do not inherit
-      the submitter's thread-local overrides, so a bare read silently
-      resolves process/env defaults instead of the request's knobs.
+      AmbientFrontierMode, VectorizedEnabled, AmbientKnob,
+      ExecKnobs::Capture) must install captured knobs via ScopedExecKnobs
+      inside that body — pool threads do not inherit the submitter's
+      thread-local overrides, so a bare read silently resolves env
+      defaults instead of the request's knobs.
       Escape hatch for bodies that are knob-free by design: `ambient-ok:`
       with a reason.
 
@@ -68,6 +69,7 @@ RANDOM_RE = re.compile(
 AMBIENT_RE = re.compile(
     r"\bExecThreads\s*\(|\bExecShards\s*\(|\bAmbientEncodingMode\s*\(|"
     r"\bMergeJoinEnabled\s*\(|\bAmbientFrontierMode\s*\(|"
+    r"\bVectorizedEnabled\s*\(|\bAmbientKnob\s*\(|"
     r"\bExecKnobs::Capture\s*\(")
 PARALLEL_FOR_RE = re.compile(r"\bParallelFor\s*\(")
 VX_CHECK_RE = re.compile(r"\bVX_CHECK(?:_OK)?\b")

@@ -12,6 +12,7 @@
 #include "algorithms/triangle_program.h"
 #include "api/exec_context.h"
 #include "common/timer.h"
+#include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "giraph/bsp_engine.h"
 #include "graphdb/gdb_algorithms.h"
@@ -35,13 +36,13 @@ Result<RunResult> RegistryBackend::Run(const RunRequest& request) {
   VX_ASSIGN_OR_RETURN(
       AlgorithmRegistry::Factory factory,
       AlgorithmRegistry::Global()->Find(request.algorithm, id_));
-  // Resolve the request's knob overrides (threads, shards, encoding,
-  // merge-join, vectorized) against the ambient defaults into one explicit
-  // context, then install it around the dispatch so every layer that
-  // resolves a knob (exec kernels, the graph-table loader, the superstep
-  // coordinator, BSP compute threads) inherits this request's
-  // configuration. Backends that never consult a knob simply ignore it.
-  ExecContext ctx = ExecContext::FromRequest(request);
+  // Resolve the request's knob overrides against the ambient defaults into
+  // one explicit context (a malformed knob fails here, before any work),
+  // then install it around the dispatch so every layer that resolves a
+  // knob (exec kernels, the graph-table loader, the superstep coordinator,
+  // BSP compute threads) inherits this request's configuration. Backends
+  // that never consult a knob simply ignore it.
+  VX_ASSIGN_OR_RETURN(ExecContext ctx, ExecContext::FromRequest(request));
   // Per-run counter blocks (not process-wide atomics): concurrent runs on
   // one server never interleave their counters. The KernelStats block is
   // relaxed atomics and rides ExecKnobs into every pool task; the

@@ -1,29 +1,43 @@
 #include "api/exec_context.h"
 
+#include <iterator>
+#include <variant>
+
+#include "common/logging.h"
+
 namespace vertexica {
 
-ExecContext ExecContext::FromRequest(const RunRequest& request) {
+namespace {
+
+// The RunRequest field carrying each knob, in Knob order: a count (0 keeps
+// the ambient value) or a token ("" keeps the ambient value).
+using RequestField = std::variant<int RunRequest::*, std::string RunRequest::*>;
+const RequestField kRequestFields[] = {
+    &RunRequest::threads,    &RunRequest::shards,   &RunRequest::encoding,
+    &RunRequest::merge_join, &RunRequest::frontier, &RunRequest::vectorized};
+static_assert(std::size(kRequestFields) == kNumKnobs,
+              "one RunRequest field per knob");
+
+// The field's text for ParseKnob; "" when it keeps the ambient value.
+std::string FieldText(const RunRequest& request, const RequestField& field) {
+  if (const auto* count = std::get_if<int RunRequest::*>(&field)) {
+    const int value = request.**count;
+    return value == 0 ? std::string() : std::to_string(value);
+  }
+  return request.*std::get<std::string RunRequest::*>(field);
+}
+
+}  // namespace
+
+Result<ExecContext> ExecContext::FromRequest(const RunRequest& request) {
   ExecContext ctx;
   ctx.knobs = ExecKnobs::Capture();
-  if (request.threads > 0) ctx.knobs.threads = request.threads;
-  if (request.shards > 0) ctx.knobs.shards = request.shards;
-  if (!request.encoding.empty()) {
-    ctx.knobs.encoding = ParseEncodingMode(request.encoding);
-  }
-  if (!request.merge_join.empty()) {
-    // Same off-vocabulary as the VERTEXICA_MERGE_JOIN env knob.
-    ctx.knobs.merge_join =
-        request.merge_join != "0" && request.merge_join != "off" &&
-        request.merge_join != "OFF" && request.merge_join != "false";
-  }
-  if (!request.frontier.empty()) {
-    ctx.knobs.frontier = ParseFrontierMode(request.frontier);
-  }
-  if (!request.vectorized.empty()) {
-    // Same off-vocabulary as the VERTEXICA_VECTORIZED env knob.
-    ctx.knobs.vectorized =
-        request.vectorized != "0" && request.vectorized != "off" &&
-        request.vectorized != "OFF" && request.vectorized != "false";
+  for (Knob knob : kAllKnobs) {
+    const std::string text =
+        FieldText(request, kRequestFields[static_cast<int>(knob)]);
+    if (text.empty()) continue;
+    VX_ASSIGN_OR_RETURN(const int value, ParseKnob(knob, text));
+    KnobSpecOf(knob).set(&ctx.knobs, value);
   }
   if (request.deadline_ms > 0) {
     // Derive rather than replace: the child token enforces the request

@@ -24,11 +24,15 @@ namespace vertexica {
 struct ExecContext {
   ExecKnobs knobs;
 
-  /// \brief Resolves `request`'s explicit overrides (threads/shards > 0,
-  /// non-empty encoding/merge_join/frontier/vectorized) against the calling thread's
-  /// ambient defaults. The result is self-contained: installing it on any thread
-  /// reproduces the configuration the request would have seen here.
-  static ExecContext FromRequest(const RunRequest& request);
+  /// \brief Resolves `request`'s explicit knob fields (threads/shards != 0,
+  /// non-empty encoding/merge_join/frontier/vectorized) against the calling
+  /// thread's ambient defaults, one loop over the knob table
+  /// (exec/exec_knobs.h). A field the table rejects — an unknown token, a
+  /// negative count, a count above the knob's range — is InvalidArgument
+  /// naming the field and what it accepts. The result is self-contained:
+  /// installing it on any thread reproduces the configuration the request
+  /// would have seen here.
+  static Result<ExecContext> FromRequest(const RunRequest& request);
 
   /// \brief Worker threads this run will occupy at peak — what admission
   /// control charges against the global pool budget. The coordinator caps

@@ -61,6 +61,11 @@ struct RunRequest {
   /// Source vertex for single-source algorithms (sssp).
   int64_t source = 0;
 
+  // The six execution knobs below are the rows of the knob table
+  // (exec/exec_knobs.h; accepted values in docs/API.md, "Execution
+  // knobs"). 0 / "" keeps the ambient value; a value the table rejects
+  // fails the run with InvalidArgument before any work.
+
   /// End-to-end parallelism: the one knob controlling every layer that
   /// fans out — the morsel-parallel relational executor (scans, joins,
   /// aggregates; see exec/parallel.h), Vertexica worker-UDF instances, and

@@ -81,17 +81,17 @@ long EnvIntKnob(const char* name, long min_value, long max_value,
 }
 
 std::string EnvTokenKnob(const char* name,
-                         std::initializer_list<const char*> allowed,
+                         const std::vector<std::string>& allowed,
                          const char* fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || value[0] == '\0') return fallback;
   const std::string lower = ToLower(value);
-  for (const char* token : allowed) {
+  for (const std::string& token : allowed) {
     if (lower == token) return lower;
   }
   if (FirstWarningFor(name)) {
     std::string list;
-    for (const char* token : allowed) {
+    for (const std::string& token : allowed) {
       if (!list.empty()) list += "|";
       list += token;
     }

@@ -1,6 +1,7 @@
 /// \file env_knob.h
 /// \brief One validated parsing point for the VERTEXICA_* environment
-/// knobs (threads, shards, encoding, merge-join).
+/// knobs (the knob table, exec/exec_knobs.h, reads the environment through
+/// these).
 ///
 /// Before this header each knob parsed its own environment variable with
 /// its own tolerance for garbage: VERTEXICA_THREADS was clamped in the
@@ -15,9 +16,9 @@
 #ifndef VERTEXICA_COMMON_ENV_KNOB_H_
 #define VERTEXICA_COMMON_ENV_KNOB_H_
 
-#include <initializer_list>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace vertexica {
 
@@ -43,7 +44,7 @@ long EnvIntKnob(const char* name, long min_value, long max_value,
 /// `allowed` case-insensitively is returned lower-cased; anything else
 /// logs one kWarn line per variable per process and returns `fallback`.
 std::string EnvTokenKnob(const char* name,
-                         std::initializer_list<const char*> allowed,
+                         const std::vector<std::string>& allowed,
                          const char* fallback);
 
 }  // namespace vertexica

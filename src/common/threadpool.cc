@@ -13,14 +13,20 @@
 
 namespace vertexica {
 
+namespace {
+
+// Threads requested via VERTEXICA_THREADS; 0 when unset or invalid.
+// Range-validated (and garbage-rejected, with one warning) in the shared
+// env-knob parser: a fat-fingered value must not ask the OS for thousands
+// of threads at startup. The range is the `threads` row of the knob table
+// (exec/exec_knobs.cc), so the pool is sized for the same clamped value
+// ExecThreads() resolves.
 std::size_t EnvThreadCount() {
-  // Range-validated (and garbage-rejected, with one warning) in the shared
-  // env-knob parser: a fat-fingered VERTEXICA_THREADS must not ask the OS
-  // for thousands of threads at startup, and ExecThreads() must resolve
-  // the same clamped value the pool sizing uses.
   return static_cast<std::size_t>(
       EnvIntKnob("VERTEXICA_THREADS", 1, 256, 0));
 }
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -189,8 +195,7 @@ Status ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
 }
 
 ThreadPool* ThreadPool::Default() {
-  // EnvThreadCount() is already range-clamped by the shared env-knob
-  // parser (common/env_knob.h).
+  // EnvThreadCount() is already range-clamped.
   static ThreadPool pool(std::max(
       EnvThreadCount(),
       std::max<std::size_t>(1, std::thread::hardware_concurrency())));

@@ -17,11 +17,6 @@
 
 namespace vertexica {
 
-/// \brief Threads requested via the VERTEXICA_THREADS environment variable;
-/// 0 when unset or invalid. The single parsing point shared by the default
-/// pool sizing and the executor's ExecThreads() resolution.
-std::size_t EnvThreadCount();
-
 /// \brief A simple fixed-size thread pool.
 ///
 /// Tasks are arbitrary `void()` callables; `Submit` also supports callables

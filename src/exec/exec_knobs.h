@@ -1,33 +1,65 @@
 /// \file exec_knobs.h
-/// \brief Capture/install of the ambient execution knobs as one value.
+/// \brief The execution knobs — threads, shards, encoding, merge_join,
+/// frontier, vectorized — defined, parsed and installed by one table.
 ///
-/// The executor's tuning state (thread count, shard count, encoding mode,
-/// merge-join and vectorized toggles) lives in per-knob thread-locals so it can be scoped
-/// per request. That design has one sharp edge: a task handed to a
-/// ThreadPool worker runs on a thread whose locals are all unset, so every
-/// fan-out site has to re-install each knob by hand — PR 5's coordinator
-/// did this in two places, and the serving layer would have added more.
-/// ExecKnobs packages the capture (on the submitting thread) and the
-/// install (inside the pool task) so a knob added later has exactly one
-/// place to be threaded through.
+/// Each knob is one row of the knob table (KnobSpecOf): its name (the
+/// RunRequest field), its VERTEXICA_* environment variable, its accepted
+/// tokens or integer range, its default, and how it reads and writes its
+/// ExecKnobs field. Everything else is generic over the rows:
+///
+/// - **Ambient resolution.** A thread's value of a knob is its innermost
+///   scoped override, else the environment value (parsed once per
+///   process), else the row's default. The typed getters (ExecThreads()
+///   ... VectorizedEnabled()) are one thread-local read.
+/// - **Parsing.** The environment and RunRequest accept the same
+///   vocabulary — the row's tokens, or an integer in its range — and
+///   ParseKnob maps both to values. Environment garbage warns once and
+///   falls back (an out-of-range integer clamps); request garbage is
+///   InvalidArgument.
+/// - **Install/capture.** ExecKnobs::Capture, ScopedExecKnobs and
+///   ExecKnobs::operator== loop over the rows, so a task handed to a pool
+///   thread (whose thread-locals are all unset) reinstalls every knob the
+///   submitting thread saw.
+///
+/// Adding a knob means one Knob entry, one table row (exec_knobs.cc) and
+/// one ExecKnobs field.
 
 #ifndef VERTEXICA_EXEC_EXEC_KNOBS_H_
 #define VERTEXICA_EXEC_EXEC_KNOBS_H_
 
+#include <string>
+#include <vector>
+
 #include "common/cancel.h"
-#include "common/logging.h"
-#include "exec/frontier.h"
+#include "common/result.h"
 #include "exec/kernel_stats.h"
-#include "exec/merge_join.h"
-#include "exec/parallel.h"
-#include "exec/vectorized.h"
 #include "storage/encoding.h"
-#include "storage/partition.h"
 
 namespace vertexica {
 
-/// \brief A value snapshot of the ambient execution knobs (plus the run's
-/// cancellation token).
+/// \brief Frontier-path policy, resolved per superstep by the coordinator
+/// (docs/EXECUTOR.md, "Active-vertex frontier supersteps").
+enum class FrontierMode {
+  kAuto,  ///< frontier when the active fraction is below the threshold
+  kOn,    ///< frontier whenever structurally possible
+  kOff,   ///< always dense
+};
+
+const char* FrontierModeName(FrontierMode m);
+
+/// \brief The execution knobs, in table order.
+enum class Knob {
+  kThreads,
+  kShards,
+  kEncoding,
+  kMergeJoin,
+  kFrontier,
+  kVectorized,
+};
+inline constexpr int kNumKnobs = 6;
+
+/// \brief A value snapshot of the execution knobs (plus the run's
+/// cancellation token and kernel-counter block).
 ///
 /// Plain copyable data: capture once on the coordinating thread, then copy
 /// into each pool task and install there. Also the payload of the serving
@@ -52,53 +84,120 @@ struct ExecKnobs {
   /// per dispatching thread only; see api/backends.cc).
   KernelStats* kernel_stats = nullptr;
 
-  /// Resolves the calling thread's ambient knobs (thread-local override →
-  /// process default → environment → fallback, per knob).
+  /// Snapshots the calling thread's ambient knobs, token and block.
   static ExecKnobs Capture();
 
-  bool operator==(const ExecKnobs& other) const {
-    return threads == other.threads && shards == other.shards &&
-           encoding == other.encoding && merge_join == other.merge_join &&
-           frontier == other.frontier && vectorized == other.vectorized &&
-           cancel == other.cancel && kernel_stats == other.kernel_stats;
-  }
+  bool operator==(const ExecKnobs& other) const;
   bool operator!=(const ExecKnobs& other) const { return !(*this == other); }
 };
 
-/// \brief RAII installer: pins every captured knob (and the cancel token)
-/// on the current thread for the lifetime of the scope. Use inside pool
-/// tasks with a captured ExecKnobs.
+/// \brief One accepted spelling of a token knob and the value it means.
+struct KnobToken {
+  template <typename T>
+  KnobToken(const char* token_text, T token_value)
+      : text(token_text), value(static_cast<int>(token_value)) {}
+
+  const char* text;  ///< lower-case; matched case-insensitively
+  int value;         ///< the knob's value as an int (enum or bool cast)
+};
+
+/// \brief One row of the knob table. Values are carried as ints: enums and
+/// bools are cast at the ExecKnobs field and at the typed getters.
+struct KnobSpec {
+  const char* name;     ///< RunRequest/ExecKnobs field name
+  const char* env_var;  ///< VERTEXICA_* environment variable
+  /// Accepted tokens; empty for an integer knob.
+  std::vector<KnobToken> tokens;
+  /// Accepted range of an integer knob. 0 means "ambient" in a request
+  /// field, and a scoped override <= 0 is a no-op.
+  int min_value = 0;
+  int max_value = 0;
+  int default_value = 0;  ///< when the environment variable is unset
+  int (*get)(const ExecKnobs& knobs) = nullptr;
+  void (*set)(ExecKnobs* knobs, int value) = nullptr;
+
+  bool is_integer() const { return tokens.empty(); }
+};
+
+/// \brief The table row of `knob`.
+const KnobSpec& KnobSpecOf(Knob knob);
+
+/// \brief Every knob, in table order (for loops over the table).
+inline constexpr Knob kAllKnobs[kNumKnobs] = {
+    Knob::kThreads,   Knob::kShards,   Knob::kEncoding,
+    Knob::kMergeJoin, Knob::kFrontier, Knob::kVectorized};
+
+/// \brief Parses `text` as a value of `knob`: one of its tokens
+/// (case-insensitive), or a strict decimal integer inside its range.
+/// Anything else is InvalidArgument naming the knob and what it accepts.
+Result<int> ParseKnob(Knob knob, const std::string& text);
+
+/// \brief Reads `knob`'s environment variable now: unset or empty gives
+/// the default; a value ParseKnob rejects logs one warning per variable
+/// per process and gives the default (an out-of-range integer clamps into
+/// range instead). The ambient getters use a once-per-process cache of
+/// this, so later environment changes do not reach them.
+int ReadEnvKnob(Knob knob);
+
+/// \name Ambient getters
+/// The calling thread's value: innermost scoped override, else the cached
+/// environment value, else the default. No lock, no getenv, no string
+/// compare.
+/// @{
+int AmbientKnob(Knob knob);
+int ExecThreads();  ///< always >= 1
+int ExecShards();   ///< always >= 1
+EncodingMode AmbientEncodingMode();
+bool MergeJoinEnabled();
+FrontierMode AmbientFrontierMode();
+bool VectorizedEnabled();
+/// @}
+
+/// \brief RAII override of one knob on the current thread, restored on
+/// exit. An integer knob given a value <= 0 is a no-op scope.
+class ScopedKnob {
+ public:
+  ScopedKnob(Knob knob, int value);
+  ~ScopedKnob();
+  ScopedKnob(const ScopedKnob&) = delete;
+  ScopedKnob& operator=(const ScopedKnob&) = delete;
+
+ private:
+  Knob knob_;
+  int prev_;
+};
+
+/// \brief ScopedKnob taking the knob's typed value.
+template <Knob K, typename T>
+class ScopedKnobOf : public ScopedKnob {
+ public:
+  explicit ScopedKnobOf(T value) : ScopedKnob(K, static_cast<int>(value)) {}
+};
+
+using ScopedExecThreads = ScopedKnobOf<Knob::kThreads, int>;
+using ScopedExecShards = ScopedKnobOf<Knob::kShards, int>;
+using ScopedEncodingMode = ScopedKnobOf<Knob::kEncoding, EncodingMode>;
+using ScopedMergeJoin = ScopedKnobOf<Knob::kMergeJoin, bool>;
+using ScopedFrontierMode = ScopedKnobOf<Knob::kFrontier, FrontierMode>;
+using ScopedVectorized = ScopedKnobOf<Knob::kVectorized, bool>;
+
+/// \brief RAII installer: pins every captured knob (and the cancel token
+/// and counter block) on the current thread for the lifetime of the scope.
+/// Use inside pool tasks with a captured ExecKnobs.
 ///
-/// After construction the thread's ambient knobs re-Capture() to exactly
-/// the installed value — audited under VX_DCHECK, so a knob added to
-/// ExecKnobs but not threaded through the scoped installers is caught the
-/// first time any pool task runs in a debug-audit build.
+/// After construction the thread re-Capture()s to exactly the installed
+/// value — audited under VX_DCHECK, so an ExecKnobs that cannot be
+/// installed (a count <= 0, which installs as a no-op) is caught the first
+/// time any pool task runs in a debug-audit build.
 class ScopedExecKnobs {
  public:
-  explicit ScopedExecKnobs(const ExecKnobs& knobs)
-      : threads_(knobs.threads),
-        shards_(knobs.shards),
-        encoding_(knobs.encoding),
-        merge_join_(knobs.merge_join),
-        frontier_(knobs.frontier),
-        vectorized_(knobs.vectorized),
-        cancel_(knobs.cancel),
-        kernel_stats_(knobs.kernel_stats) {
-    VX_DCHECK(ExecKnobs::Capture() == knobs)
-        << "ScopedExecKnobs: installed knobs do not round-trip through "
-           "Capture (a knob is missing from the scoped installers?)";
-  }
-
+  explicit ScopedExecKnobs(const ExecKnobs& knobs);
+  ~ScopedExecKnobs();
   ScopedExecKnobs(const ScopedExecKnobs&) = delete;
   ScopedExecKnobs& operator=(const ScopedExecKnobs&) = delete;
 
  private:
-  ScopedExecThreads threads_;
-  ScopedExecShards shards_;
-  ScopedEncodingMode encoding_;
-  ScopedMergeJoin merge_join_;
-  ScopedFrontierMode frontier_;
-  ScopedVectorized vectorized_;
+  int prev_[kNumKnobs];
   ScopedCancelToken cancel_;
   ScopedKernelStats kernel_stats_;
 };

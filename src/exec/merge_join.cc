@@ -1,55 +1,20 @@
 #include "exec/merge_join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 
-#include "common/env_knob.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
 #include "exec/scan.h"
 
 namespace vertexica {
 
-// --------------------------------------------------------------- the knob
+// -------------------------------------------------- join-path accounting
 
 namespace {
-
-std::atomic<int> g_default_merge_join{-1};  // -1 = automatic (env, else on)
-thread_local int tl_merge_override = -1;    // -1 unset, 0 off, 1 on
-
-bool EnvMergeJoinEnabled() {
-  // Validated through the shared env-knob helper: a typo like
-  // VERTEXICA_MERGE_JOIN=offf warns once and keeps the default (on).
-  const std::string token = EnvTokenKnob(
-      "VERTEXICA_MERGE_JOIN",
-      {"0", "off", "false", "no", "1", "on", "true", "yes"}, "on");
-  return token != "0" && token != "off" && token != "false" && token != "no";
-}
 
 thread_local JoinPathStats* tl_join_stats = nullptr;
 
 }  // namespace
-
-bool MergeJoinEnabled() {
-  if (tl_merge_override >= 0) return tl_merge_override != 0;
-  const int configured = g_default_merge_join.load(std::memory_order_relaxed);
-  if (configured >= 0) return configured != 0;
-  static const bool env = EnvMergeJoinEnabled();
-  return env;
-}
-
-void SetDefaultMergeJoin(int enabled) {
-  g_default_merge_join.store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                             std::memory_order_relaxed);
-}
-
-ScopedMergeJoin::ScopedMergeJoin(bool enabled) : prev_(tl_merge_override) {
-  tl_merge_override = enabled ? 1 : 0;
-}
-
-ScopedMergeJoin::~ScopedMergeJoin() { tl_merge_override = prev_; }
 
 JoinPathStats* AmbientJoinStats() { return tl_join_stats; }
 

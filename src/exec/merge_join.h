@@ -39,31 +39,9 @@
 
 namespace vertexica {
 
-/// \name The merge-join knob
-///
-/// Ambient on/off switch mirroring ExecThreads / the encoding mode:
-/// innermost ScopedMergeJoin override, else the process default
-/// (SetDefaultMergeJoin, else VERTEXICA_MERGE_JOIN env — "0"/"off"
-/// disables — else on). PlanBuilder::Join consults it, so one scope turns
-/// the order-aware path off for an entire run (ablation benches,
-/// VertexicaOptions::use_merge_join).
-/// @{
-bool MergeJoinEnabled();
-/// \brief Sets the process default: 1 = on, 0 = off, -1 = automatic
-/// (env, else on).
-void SetDefaultMergeJoin(int enabled);
-/// \brief RAII override for the current thread.
-class ScopedMergeJoin {
- public:
-  explicit ScopedMergeJoin(bool enabled);
-  ~ScopedMergeJoin();
-  ScopedMergeJoin(const ScopedMergeJoin&) = delete;
-  ScopedMergeJoin& operator=(const ScopedMergeJoin&) = delete;
-
- private:
-  int prev_;
-};
-/// @}
+// PlanBuilder::Join consults the `merge_join` knob (MergeJoinEnabled,
+// exec/exec_knobs.h), so one ScopedMergeJoin(false) turns the order-aware
+// path off for an entire run (ablation benches and tests).
 
 /// \name Join-path accounting
 ///

@@ -1,8 +1,6 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <unordered_map>
 
 #include "common/cache_sizing.h"
@@ -16,37 +14,6 @@
 #include "exec/vectorized.h"
 
 namespace vertexica {
-
-namespace {
-
-int HardwareThreads() {
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-std::atomic<int> g_default_threads{0};
-thread_local int tl_thread_override = 0;
-
-}  // namespace
-
-int ExecThreads() {
-  if (tl_thread_override > 0) return tl_thread_override;
-  const int configured = g_default_threads.load(std::memory_order_relaxed);
-  if (configured > 0) return configured;
-  static const int env = static_cast<int>(EnvThreadCount());
-  if (env > 0) return env;
-  static const int hardware = HardwareThreads();
-  return hardware;
-}
-
-void SetDefaultExecThreads(int n) {
-  g_default_threads.store(n > 0 ? n : 0, std::memory_order_relaxed);
-}
-
-ScopedExecThreads::ScopedExecThreads(int n) : prev_(tl_thread_override) {
-  if (n > 0) tl_thread_override = n;
-}
-
-ScopedExecThreads::~ScopedExecThreads() { tl_thread_override = prev_; }
 
 MorselPruneFn MakeZonePrune(std::shared_ptr<const Table> table,
                             std::vector<ColumnPredicate> preds) {

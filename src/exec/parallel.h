@@ -28,44 +28,13 @@
 #include <vector>
 
 #include "exec/aggregate.h"
+#include "exec/exec_knobs.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
 #include "exec/project.h"
 #include "expr/expression.h"
 
 namespace vertexica {
-
-/// \name The end-to-end `threads` knob
-///
-/// One integer controls engine parallelism: RunRequest::threads installs a
-/// scoped override around the backend dispatch, and every layer that fans
-/// out (exec kernels, worker UDFs, BSP compute threads, pipeline DAG waves)
-/// resolves its default thread count through ExecThreads().
-/// @{
-
-/// \brief Effective parallelism for the calling thread: the innermost
-/// ScopedExecThreads override, else the process default
-/// (SetDefaultExecThreads, else VERTEXICA_THREADS, else hardware cores).
-/// Always >= 1.
-int ExecThreads();
-
-/// \brief Sets the process-wide default parallelism; 0 restores automatic
-/// resolution (VERTEXICA_THREADS env, else hardware concurrency).
-void SetDefaultExecThreads(int n);
-
-/// \brief RAII thread-count override for the current thread (how
-/// RunRequest::threads reaches the kernels). n <= 0 is a no-op scope.
-class ScopedExecThreads {
- public:
-  explicit ScopedExecThreads(int n);
-  ~ScopedExecThreads();
-  ScopedExecThreads(const ScopedExecThreads&) = delete;
-  ScopedExecThreads& operator=(const ScopedExecThreads&) = delete;
-
- private:
-  int prev_;
-};
-/// @}
 
 /// \brief Default rows per morsel. Fixed (not derived from the thread
 /// count) so results are reproducible across parallelism settings.

@@ -40,37 +40,17 @@
 #include <vector>
 
 #include "exec/batch.h"
+#include "exec/exec_knobs.h"
 #include "exec/filter.h"
 #include "exec/project.h"
 #include "expr/expression.h"
 
 namespace vertexica {
 
-/// \name The `vectorized` knob
-///
-/// Ambient on/off switch mirroring the merge-join knob: innermost
-/// ScopedVectorized override, else the process default
-/// (SetDefaultVectorized, else VERTEXICA_VECTORIZED env — "0"/"off"
-/// disables — else on). The morsel drivers (exec/parallel.cc) consult it,
-/// so one scope pins the interpreter path for an entire run (ablation
-/// benches, the VERTEXICA_VECTORIZED=off CI pass).
-/// @{
-bool VectorizedEnabled();
-/// \brief Sets the process default: 1 = on, 0 = off, -1 = automatic
-/// (env, else on).
-void SetDefaultVectorized(int enabled);
-/// \brief RAII override for the current thread.
-class ScopedVectorized {
- public:
-  explicit ScopedVectorized(bool enabled);
-  ~ScopedVectorized();
-  ScopedVectorized(const ScopedVectorized&) = delete;
-  ScopedVectorized& operator=(const ScopedVectorized&) = delete;
-
- private:
-  int prev_;
-};
-/// @}
+// The morsel drivers (exec/parallel.cc) consult the `vectorized` knob
+// (VectorizedEnabled, exec/exec_knobs.h), so one ScopedVectorized(false)
+// pins the interpreter path for an entire run (ablation benches, the
+// VERTEXICA_VECTORIZED=off CI pass).
 
 /// \brief A compiled fused σ→π pipeline: the predicate as conjuncts, the
 /// projections resolved to source column indices or literals, and the

@@ -137,9 +137,10 @@ Result<RunResult> EngineServer::RunOnEngine(
   // demand is what admission charges against the budget, and its deadline
   // (resolved against arrival time, layered over the session's stop
   // button) is what admission sheds on. The token covers queue wait plus
-  // execution: time spent queued is time the run no longer has.
+  // execution: time spent queued is time the run no longer has. A
+  // malformed knob is rejected here, before admission.
   const ScopedCancelToken session_scope(session_cancel);
-  const ExecContext ctx = ExecContext::FromRequest(request);
+  VX_ASSIGN_OR_RETURN(const ExecContext ctx, ExecContext::FromRequest(request));
 
   VX_ASSIGN_OR_RETURN(
       AdmissionController::Ticket ticket,

@@ -1,13 +1,8 @@
 #include "storage/encoding.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <unordered_map>
-
-#include "common/env_knob.h"
 
 namespace vertexica {
 
@@ -89,70 +84,6 @@ const char* EncodingModeName(EncodingMode m) {
       return "force";
   }
   return "?";
-}
-
-EncodingMode ParseEncodingMode(const std::string& text) {
-  std::string lower;
-  lower.reserve(text.size());
-  for (char c : text) {
-    lower.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (lower == "off" || lower == "0" || lower == "false" || lower == "none") {
-    return EncodingMode::kOff;
-  }
-  if (lower == "force") return EncodingMode::kForce;
-  // "auto", "on", "1", "true" and anything unrecognized.
-  return EncodingMode::kAuto;
-}
-
-namespace {
-
-// -1 = unset (resolve from env); otherwise a cast EncodingMode.
-std::atomic<int> g_default_mode{-1};
-thread_local bool tl_mode_active = false;
-thread_local EncodingMode tl_mode_override = EncodingMode::kAuto;
-
-EncodingMode EnvEncodingMode() {
-  // Validated through the shared env-knob helper so a typoed value warns
-  // once instead of silently resolving to kAuto inside ParseEncodingMode.
-  static const EncodingMode env = ParseEncodingMode(
-      EnvTokenKnob("VERTEXICA_ENCODING",
-                   {"off", "auto", "on", "1", "true", "force"}, "auto"));
-  return env;
-}
-
-}  // namespace
-
-EncodingMode AmbientEncodingMode() {
-  if (tl_mode_active) return tl_mode_override;
-  const int configured = g_default_mode.load(std::memory_order_relaxed);
-  if (configured >= 0) return static_cast<EncodingMode>(configured);
-  return EnvEncodingMode();
-}
-
-void SetDefaultEncodingMode(EncodingMode m) {
-  // kAuto is the unset sentinel (like 0 for SetDefaultExecThreads): it
-  // restores resolution from the VERTEXICA_ENCODING environment variable,
-  // whose own default is kAuto anyway. Use ScopedEncodingMode to pin kAuto
-  // over a non-auto environment.
-  g_default_mode.store(m == EncodingMode::kAuto ? -1 : static_cast<int>(m),
-                       std::memory_order_relaxed);
-}
-
-ScopedEncodingMode::ScopedEncodingMode(EncodingMode m)
-    : active_(true),
-      prev_(tl_mode_override),
-      prev_active_(tl_mode_active) {
-  tl_mode_override = m;
-  tl_mode_active = true;
-}
-
-ScopedEncodingMode::~ScopedEncodingMode() {
-  if (active_) {
-    tl_mode_override = prev_;
-    tl_mode_active = prev_active_;
-  }
 }
 
 int TotalOrderCompareDoubles(double a, double b) {

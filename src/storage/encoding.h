@@ -61,16 +61,11 @@ enum class ColumnEncoding {
 
 const char* ColumnEncodingName(ColumnEncoding e);
 
-/// \name The ambient encoding policy knob
-///
-/// Mirrors the `threads` knob (exec/parallel.h): a thread-local scoped
-/// override, else a process default, else the VERTEXICA_ENCODING
-/// environment variable ("off", "auto"/"on"=auto, "force"), else kAuto.
-/// The storage-owning layers (graph_tables, coordinator, Engine requests)
+/// \brief Encoding policy: the values of the `encoding` knob (resolved
+/// per thread by AmbientEncodingMode, exec/exec_knobs.h). The
+/// storage-owning layers (graph_tables, coordinator, partition sets)
 /// consult it before encoding; encode/decode never changes query results,
 /// only the physical representation.
-/// @{
-
 enum class EncodingMode {
   kAuto,   ///< encode a column only when the encoded footprint is smaller
   kOff,    ///< never encode (columns stay plain)
@@ -78,35 +73,6 @@ enum class EncodingMode {
 };
 
 const char* EncodingModeName(EncodingMode m);
-
-/// \brief Effective mode for the calling thread (innermost scoped override,
-/// else process default, else VERTEXICA_ENCODING env, else kAuto).
-EncodingMode AmbientEncodingMode();
-
-/// \brief Sets the process-wide default; kAuto is the unset sentinel and
-/// restores automatic resolution from the environment (use
-/// ScopedEncodingMode to pin kAuto over a non-auto environment).
-void SetDefaultEncodingMode(EncodingMode m);
-
-/// \brief RAII thread-local override (how RunRequest::encoding reaches the
-/// storage layer).
-class ScopedEncodingMode {
- public:
-  explicit ScopedEncodingMode(EncodingMode m);
-  ~ScopedEncodingMode();
-  ScopedEncodingMode(const ScopedEncodingMode&) = delete;
-  ScopedEncodingMode& operator=(const ScopedEncodingMode&) = delete;
-
- private:
-  bool active_;
-  EncodingMode prev_;
-  bool prev_active_;
-};
-
-/// \brief Parses "off"/"auto"/"on"/"force" (case-insensitive); defaults to
-/// kAuto for anything unrecognized.
-EncodingMode ParseEncodingMode(const std::string& text);
-/// @}
 
 /// \name Zone maps
 ///

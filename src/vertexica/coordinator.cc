@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -15,7 +14,6 @@
 #include "common/threadpool.h"
 #include "common/timer.h"
 #include "exec/exec_knobs.h"
-#include "exec/frontier.h"
 #include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
@@ -677,21 +675,16 @@ Status Coordinator::Run(RunStats* stats) {
   const auto agg_specs = program_->aggregators();
   prev_aggregates_.clear();
 
-  // The ablation switch: use_merge_join=false pins the hash joins for the
-  // whole run (and skips the sorted-invariant maintenance below); when
-  // true, the ambient knob (VERTEXICA_MERGE_JOIN / ScopedMergeJoin)
-  // still governs, like the encoding mode.
-  std::optional<ScopedMergeJoin> scoped_merge;
-  if (!options_.use_merge_join) scoped_merge.emplace(false);
   // Knobs are resolved once per run and reinstalled inside every shard
   // task: pool threads don't inherit the caller's thread-local knobs.
   const ExecKnobs knobs = ExecKnobs::Capture();
 
   // The sorted-invariant maintenance below is gated on the join-input
-  // path only — NOT on the merge-join knob — so toggling use_merge_join
-  // (or VERTEXICA_MERGE_JOIN) swaps exactly one thing: the physical join
-  // operator. Table row orders, worker inputs, and therefore results are
-  // bit-identical by construction between the two paths.
+  // path only — NOT on the merge-join knob — so toggling the knob
+  // (ScopedMergeJoin / VERTEXICA_MERGE_JOIN) swaps exactly one thing: the
+  // physical join operator. Table row orders, worker inputs, and
+  // therefore results are bit-identical by construction between the two
+  // paths.
 
   // A restored checkpoint carries the rows but not the sort-order
   // declarations (catalog_io persists none); re-establish them up front

@@ -84,7 +84,7 @@ struct SuperstepStats {
   int64_t cross_shard_messages = 0;
   /// @}
 
-  /// \name Frontier-path accounting (exec/frontier.h)
+  /// \name Frontier-path accounting (docs/EXECUTOR.md)
   /// Whether this superstep's worker input was built from the sparse
   /// active-vertex frontier instead of the full tables, and how many
   /// vertices the frontier contained (the active-set popcount; 0 on dense
@@ -102,8 +102,8 @@ struct SuperstepStats {
   /// path: order-aware merge joins vs hash joins. `join_rows` is rows
   /// emitted, `join_seconds` wall-clock inside the join kernels (part of
   /// input_seconds/apply_seconds, not in addition to them). With
-  /// use_merge_join and the join input path, both superstep joins run as
-  /// merge joins: zero hash builds per superstep.
+  /// the merge-join knob on and the join input path, both superstep joins
+  /// run as merge joins: zero hash builds per superstep.
   /// @{
   int64_t merge_joins = 0;
   int64_t hash_joins = 0;
@@ -118,7 +118,7 @@ struct RunStats {
   double total_seconds = 0.0;
   int64_t total_messages = 0;
 
-  /// \name Frontier-vs-dense superstep counts (exec/frontier.h)
+  /// \name Frontier-vs-dense superstep counts (docs/EXECUTOR.md)
   /// How many supersteps took each input-build path; they sum to
   /// `supersteps.size()` when per-step stats are collected.
   /// @{
@@ -191,7 +191,7 @@ class Coordinator {
                                            const TablePtr& edge_side,
                                            const TablePtr& message) const;
 
-  /// \name Frontier input builders (exec/frontier.h)
+  /// \name Frontier input builders (docs/EXECUTOR.md)
   ///
   /// Sparse counterparts of BuildUnionInput / BuildJoinInputWithEdgeSide:
   /// the worker input is gathered from the `frontier` bitvector over

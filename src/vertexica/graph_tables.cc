@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "exec/exec_knobs.h"
 #include "storage/sort.h"
 
 namespace vertexica {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 
 #include "catalog/catalog.h"
 #include "common/cancel.h"
@@ -678,20 +679,21 @@ TEST(ParallelExecTest, PlanBuilderUsesParallelOperators) {
 }
 
 TEST(ParallelExecTest, ThreadBudgetResolutionOrder) {
-  // ExecThreads(): scoped override > process default > env/hardware.
+  // ExecThreads(): innermost scoped override > env/hardware.
   const int ambient = ExecThreads();
-  SetDefaultExecThreads(3);
-  EXPECT_EQ(ExecThreads(), 3);
   {
-    ScopedExecThreads scoped(5);
-    EXPECT_EQ(ExecThreads(), 5);
+    ScopedExecThreads outer(3);
+    EXPECT_EQ(ExecThreads(), 3);
     {
-      ScopedExecThreads inner(0);  // no-op scope keeps the outer override
+      ScopedExecThreads scoped(5);
       EXPECT_EQ(ExecThreads(), 5);
+      {
+        ScopedExecThreads inner(0);  // no-op scope keeps the outer override
+        EXPECT_EQ(ExecThreads(), 5);
+      }
     }
+    EXPECT_EQ(ExecThreads(), 3);
   }
-  EXPECT_EQ(ExecThreads(), 3);
-  SetDefaultExecThreads(0);  // restore automatic resolution
   EXPECT_EQ(ExecThreads(), ambient);
 }
 
@@ -1190,22 +1192,23 @@ TEST(VectorizedTest, JoinAndAggregatePlansBitIdenticalOnVsOff) {
 }
 
 TEST(VectorizedTest, KnobResolutionOrder) {
-  // Same contract as the merge-join knob: scoped override beats the
-  // process default; -1 restores automatic resolution.
+  // Same contract as every knob: the innermost scoped override wins, and
+  // leaving a scope restores the value it replaced.
   const bool ambient = VectorizedEnabled();
-  SetDefaultVectorized(0);
-  EXPECT_FALSE(VectorizedEnabled());
   {
-    ScopedVectorized on(true);
-    EXPECT_TRUE(VectorizedEnabled());
+    ScopedVectorized outer(false);
+    EXPECT_FALSE(VectorizedEnabled());
     {
-      ScopedVectorized off(false);
-      EXPECT_FALSE(VectorizedEnabled());
+      ScopedVectorized on(true);
+      EXPECT_TRUE(VectorizedEnabled());
+      {
+        ScopedVectorized off(false);
+        EXPECT_FALSE(VectorizedEnabled());
+      }
+      EXPECT_TRUE(VectorizedEnabled());
     }
-    EXPECT_TRUE(VectorizedEnabled());
+    EXPECT_FALSE(VectorizedEnabled());
   }
-  EXPECT_FALSE(VectorizedEnabled());
-  SetDefaultVectorized(-1);
   EXPECT_EQ(VectorizedEnabled(), ambient);
 }
 
@@ -1228,6 +1231,54 @@ TEST(VectorizedTest, ExecKnobsCaptureAndInstallRoundTrip) {
       },
       2);
   EXPECT_TRUE(st.ok()) << st.ToString();
+
+  // Every knob of the table, the same way: nested scopes win innermost-
+  // first, an integer knob's 0 is a no-op scope, leaving a scope restores
+  // the value it replaced, and a captured value reinstalls on a fresh
+  // thread.
+  struct KnobCase {
+    Knob knob;
+    int outer;
+    int inner;
+  };
+  const KnobCase cases[] = {
+      {Knob::kThreads, 3, 5},
+      {Knob::kShards, 2, 7},
+      {Knob::kEncoding, static_cast<int>(EncodingMode::kForce),
+       static_cast<int>(EncodingMode::kOff)},
+      {Knob::kMergeJoin, 0, 1},
+      {Knob::kFrontier, static_cast<int>(FrontierMode::kOn),
+       static_cast<int>(FrontierMode::kOff)},
+      {Knob::kVectorized, 1, 0},
+  };
+  for (const KnobCase& c : cases) {
+    const KnobSpec& spec = KnobSpecOf(c.knob);
+    SCOPED_TRACE(spec.name);
+    const int ambient = AmbientKnob(c.knob);
+    {
+      ScopedKnob outer(c.knob, c.outer);
+      EXPECT_EQ(AmbientKnob(c.knob), c.outer);
+      {
+        ScopedKnob inner(c.knob, c.inner);
+        EXPECT_EQ(AmbientKnob(c.knob), c.inner);
+        const ExecKnobs knobs = ExecKnobs::Capture();
+        EXPECT_EQ(spec.get(knobs), c.inner);
+        int seen = -1;
+        std::thread fresh([&]() {
+          ScopedExecKnobs install(knobs);
+          seen = AmbientKnob(c.knob);
+        });
+        fresh.join();
+        EXPECT_EQ(seen, c.inner);
+      }
+      if (spec.is_integer()) {
+        ScopedKnob noop(c.knob, 0);
+        EXPECT_EQ(AmbientKnob(c.knob), c.outer);
+      }
+      EXPECT_EQ(AmbientKnob(c.knob), c.outer);
+    }
+    EXPECT_EQ(AmbientKnob(c.knob), ambient);
+  }
 }
 
 TEST(KernelStatsTest, CountersAreDeterministicAcrossThreadsAndPerScope) {

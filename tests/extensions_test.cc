@@ -18,7 +18,7 @@
 #include "algorithms/reference.h"
 #include "catalog/catalog_io.h"
 #include "common/fault_injection.h"
-#include "exec/frontier.h"
+#include "exec/exec_knobs.h"
 #include "exec/merge_join.h"
 #include "giraph/bsp_engine.h"
 #include "sqlgraph/sql_common.h"
@@ -382,6 +382,7 @@ TEST(CheckpointTest, ResumedRunMatchesUninterrupted) {
 
 TEST(CheckpointTest, ResumedJoinPathKeepsMergeJoins) {
   ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
+  ScopedExecShards one(1);  // exact per-step counters assume 1 shard
   Graph g = GenerateRmat(60, 300, 93);
   const std::string dir = testing::TempDir() + "/vx_ckpt_merge";
   PageRankProgram program(8);

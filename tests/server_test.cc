@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -106,6 +108,7 @@ TEST(ExecKnobsTest, CaptureInstallRoundTripsAcrossThreads) {
   ScopedEncodingMode encoding(EncodingMode::kForce);
   ScopedMergeJoin merge(false);
   ScopedFrontierMode frontier(FrontierMode::kOn);
+  ScopedVectorized vectorized(false);
 
   const ExecKnobs knobs = ExecKnobs::Capture();
   EXPECT_EQ(knobs.threads, 3);
@@ -113,6 +116,7 @@ TEST(ExecKnobsTest, CaptureInstallRoundTripsAcrossThreads) {
   EXPECT_EQ(knobs.encoding, EncodingMode::kForce);
   EXPECT_FALSE(knobs.merge_join);
   EXPECT_EQ(knobs.frontier, FrontierMode::kOn);
+  EXPECT_FALSE(knobs.vectorized);
 
   // A fresh thread has none of the thread-local overrides; installing the
   // captured knobs must reproduce the caller's configuration exactly.
@@ -120,6 +124,7 @@ TEST(ExecKnobsTest, CaptureInstallRoundTripsAcrossThreads) {
   EncodingMode seen_encoding = EncodingMode::kAuto;
   bool seen_merge = true;
   FrontierMode seen_frontier = FrontierMode::kOff;
+  bool seen_vectorized = true;
   std::thread worker([&]() {
     ScopedExecKnobs install(knobs);
     seen_threads = ExecThreads();
@@ -127,6 +132,7 @@ TEST(ExecKnobsTest, CaptureInstallRoundTripsAcrossThreads) {
     seen_encoding = AmbientEncodingMode();
     seen_merge = MergeJoinEnabled();
     seen_frontier = AmbientFrontierMode();
+    seen_vectorized = VectorizedEnabled();
   });
   worker.join();
   EXPECT_EQ(seen_threads, 3);
@@ -134,6 +140,7 @@ TEST(ExecKnobsTest, CaptureInstallRoundTripsAcrossThreads) {
   EXPECT_EQ(seen_encoding, EncodingMode::kForce);
   EXPECT_FALSE(seen_merge);
   EXPECT_EQ(seen_frontier, FrontierMode::kOn);
+  EXPECT_FALSE(seen_vectorized);
 }
 
 TEST(ExecContextTest, FromRequestResolvesOverrides) {
@@ -143,28 +150,127 @@ TEST(ExecContextTest, FromRequestResolvesOverrides) {
   request.encoding = "force";
   request.merge_join = "off";
   request.frontier = "on";
-  const ExecContext ctx = ExecContext::FromRequest(request);
-  EXPECT_EQ(ctx.knobs.threads, 5);
-  EXPECT_EQ(ctx.knobs.shards, 3);
-  EXPECT_EQ(ctx.knobs.encoding, EncodingMode::kForce);
-  EXPECT_FALSE(ctx.knobs.merge_join);
-  EXPECT_EQ(ctx.knobs.frontier, FrontierMode::kOn);
-  EXPECT_EQ(ctx.DemandThreads(), 5);
+  const Result<ExecContext> ctx = ExecContext::FromRequest(request);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  EXPECT_EQ(ctx->knobs.threads, 5);
+  EXPECT_EQ(ctx->knobs.shards, 3);
+  EXPECT_EQ(ctx->knobs.encoding, EncodingMode::kForce);
+  EXPECT_FALSE(ctx->knobs.merge_join);
+  EXPECT_EQ(ctx->knobs.frontier, FrontierMode::kOn);
+  EXPECT_EQ(ctx->DemandThreads(), 5);
 
   // Unset fields inherit the ambient configuration.
   ScopedExecThreads threads(2);
+  ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
   ScopedFrontierMode off(FrontierMode::kOff);
   RunRequest ambient;
-  const ExecContext inherited = ExecContext::FromRequest(ambient);
-  EXPECT_EQ(inherited.knobs.threads, 2);
-  EXPECT_TRUE(inherited.knobs.merge_join);
-  EXPECT_EQ(inherited.knobs.frontier, FrontierMode::kOff);
+  const Result<ExecContext> inherited = ExecContext::FromRequest(ambient);
+  ASSERT_TRUE(inherited.ok()) << inherited.status().ToString();
+  EXPECT_EQ(inherited->knobs.threads, 2);
+  EXPECT_TRUE(inherited->knobs.merge_join);
+  EXPECT_EQ(inherited->knobs.frontier, FrontierMode::kOff);
 
   // An explicit request field beats the ambient scope, like threads.
   RunRequest explicit_frontier;
   explicit_frontier.frontier = "auto";
-  const ExecContext resolved = ExecContext::FromRequest(explicit_frontier);
-  EXPECT_EQ(resolved.knobs.frontier, FrontierMode::kAuto);
+  const Result<ExecContext> resolved =
+      ExecContext::FromRequest(explicit_frontier);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  EXPECT_EQ(resolved->knobs.frontier, FrontierMode::kAuto);
+}
+
+// Sets the RunRequest field carrying `knob` from its text form.
+void SetRequestKnob(RunRequest* request, Knob knob, const std::string& text) {
+  switch (knob) {
+    case Knob::kThreads:
+      request->threads = std::stoi(text);
+      return;
+    case Knob::kShards:
+      request->shards = std::stoi(text);
+      return;
+    case Knob::kEncoding:
+      request->encoding = text;
+      return;
+    case Knob::kMergeJoin:
+      request->merge_join = text;
+      return;
+    case Knob::kFrontier:
+      request->frontier = text;
+      return;
+    case Knob::kVectorized:
+      request->vectorized = text;
+      return;
+  }
+}
+
+TEST(ExecContextTest, RequestAndEnvResolveEveryAcceptedValueAlike) {
+  // Fill the once-per-process environment cache before this test edits the
+  // environment, so the ambient getters of later tests are unaffected.
+  ExecKnobs::Capture();
+  for (Knob knob : kAllKnobs) {
+    const KnobSpec& spec = KnobSpecOf(knob);
+    SCOPED_TRACE(spec.name);
+    std::vector<std::string> inputs;
+    if (spec.is_integer()) {
+      inputs = {std::to_string(spec.min_value), std::to_string(spec.max_value),
+                "7"};
+    }
+    for (const KnobToken& token : spec.tokens) {
+      std::string capitalized = token.text;
+      capitalized[0] = static_cast<char>(std::toupper(capitalized[0]));
+      inputs.push_back(token.text);
+      inputs.push_back(capitalized);  // "Off", "No": both paths ignore case
+    }
+    const char* saved = std::getenv(spec.env_var);
+    const std::string saved_value = saved != nullptr ? saved : "";
+    for (const std::string& text : inputs) {
+      ::setenv(spec.env_var, text.c_str(), 1);
+      RunRequest request;
+      SetRequestKnob(&request, knob, text);
+      const Result<ExecContext> ctx = ExecContext::FromRequest(request);
+      ASSERT_TRUE(ctx.ok()) << text << ": " << ctx.status().ToString();
+      EXPECT_EQ(spec.get(ctx->knobs), ReadEnvKnob(knob)) << text;
+    }
+    if (saved != nullptr) {
+      ::setenv(spec.env_var, saved_value.c_str(), 1);
+    } else {
+      ::unsetenv(spec.env_var);
+    }
+  }
+}
+
+TEST(ExecContextTest, MalformedRequestKnobsAreInvalidArgument) {
+  std::vector<RunRequest> malformed(4);
+  malformed[0].encoding = "offf";
+  malformed[1].merge_join = "offf";
+  malformed[2].threads = 100000;  // the environment would clamp to 256
+  malformed[3].shards = -1;
+  const char* fields[] = {"encoding", "merge_join", "threads", "shards"};
+
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraph(ParityGraph()).ok());
+  EngineServer server;
+  ASSERT_TRUE(server.CreateGraph("g", ParityGraph()).ok());
+  for (size_t i = 0; i < malformed.size(); ++i) {
+    RunRequest& request = malformed[i];
+    request.algorithm = kPageRank;
+    request.backend = kGiraphBackendId;
+    SCOPED_TRACE(fields[i]);
+    const Result<ExecContext> ctx = ExecContext::FromRequest(request);
+    ASSERT_FALSE(ctx.ok());
+    EXPECT_TRUE(ctx.status().IsInvalidArgument()) << ctx.status().ToString();
+    EXPECT_NE(ctx.status().message().find(fields[i]), std::string::npos)
+        << ctx.status().ToString();
+
+    const Result<RunResult> direct = engine.Run(request);
+    EXPECT_TRUE(direct.status().IsInvalidArgument())
+        << direct.status().ToString();
+    const Result<RunResult> served = server.Run("g", request);
+    EXPECT_TRUE(served.status().IsInvalidArgument())
+        << served.status().ToString();
+  }
+  // Rejected before admission: no ticket was ever issued.
+  EXPECT_EQ(server.admission_stats().admitted, 0u);
 }
 
 TEST(ExecKnobsTest, CancelTokenRidesTheKnobPlumbing) {
@@ -190,21 +296,24 @@ TEST(ExecKnobsTest, CancelTokenRidesTheKnobPlumbing) {
 
 TEST(ExecContextTest, FromRequestResolvesDeadline) {
   RunRequest no_deadline;
-  EXPECT_TRUE(ExecContext::FromRequest(no_deadline).knobs.cancel.null());
+  const Result<ExecContext> none = ExecContext::FromRequest(no_deadline);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none->knobs.cancel.null());
 
   RunRequest with_deadline;
   with_deadline.deadline_ms = 3600 * 1e3;  // one hour: resolves, never fires
-  const ExecContext ctx = ExecContext::FromRequest(with_deadline);
-  ASSERT_FALSE(ctx.knobs.cancel.null());
+  const Result<ExecContext> ctx = ExecContext::FromRequest(with_deadline);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  ASSERT_FALSE(ctx->knobs.cancel.null());
   std::chrono::steady_clock::time_point deadline;
-  EXPECT_TRUE(ctx.knobs.cancel.deadline(&deadline));
-  EXPECT_TRUE(ctx.knobs.cancel.Check().ok());
+  EXPECT_TRUE(ctx->knobs.cancel.deadline(&deadline));
+  EXPECT_TRUE(ctx->knobs.cancel.Check().ok());
 
   RunRequest expired;
   expired.deadline_ms = 1e-9;  // resolved against arrival: already past
-  EXPECT_TRUE(ExecContext::FromRequest(expired)
-                  .knobs.cancel.Check()
-                  .IsDeadlineExceeded());
+  const Result<ExecContext> past = ExecContext::FromRequest(expired);
+  ASSERT_TRUE(past.ok()) << past.status().ToString();
+  EXPECT_TRUE(past->knobs.cancel.Check().IsDeadlineExceeded());
 }
 
 // --------------------------------------------------------- admission

@@ -8,7 +8,7 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
-#include "exec/frontier.h"
+#include "exec/exec_knobs.h"
 #include "exec/merge_join.h"
 #include "graphgen/generators.h"
 #include "storage/partition.h"
@@ -409,17 +409,17 @@ TEST(OptimizationTest, JoinInputRunsMergeJoinsOnly) {
 TEST(OptimizationTest, MergeJoinOnOffSameResult) {
   ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
   Graph g = GenerateRmat(128, 800, 12);
-  VertexicaOptions merge_opts;
-  merge_opts.use_union_input = false;
-  VertexicaOptions hash_opts;
-  hash_opts.use_union_input = false;
-  hash_opts.use_merge_join = false;
+  VertexicaOptions opts;
+  opts.use_union_input = false;
   Catalog cat1;
   RunStats s1;
-  auto r1 = RunPageRank(&cat1, g, 5, 0.85, merge_opts, &s1);
+  auto r1 = RunPageRank(&cat1, g, 5, 0.85, opts, &s1);
   Catalog cat2;
   RunStats s2;
-  auto r2 = RunPageRank(&cat2, g, 5, 0.85, hash_opts, &s2);
+  Result<std::vector<double>> r2 = [&] {
+    ScopedMergeJoin hash(false);
+    return RunPageRank(&cat2, g, 5, 0.85, opts, &s2);
+  }();
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   ASSERT_EQ(r1->size(), r2->size());
@@ -434,7 +434,7 @@ TEST(OptimizationTest, MergeJoinOnOffSameResult) {
   for (const SuperstepStats& s : s1.supersteps) merged += s.merge_joins;
   for (const SuperstepStats& s : s2.supersteps) {
     hashed += s.hash_joins;
-    EXPECT_EQ(s.merge_joins, 0);  // the ablation switch pins the hash path
+    EXPECT_EQ(s.merge_joins, 0);  // the knob pins the hash path
   }
   EXPECT_GT(merged, 0);
   EXPECT_GT(hashed, 0);
@@ -474,15 +474,15 @@ TEST(OptimizationTest, MergeJoinSurvivesReplacePath) {
 TEST(OptimizationTest, MergeJoinSameResultForSssp) {
   Graph g = GenerateRmat(128, 800, 14);
   AssignRandomWeights(&g, 1.0, 5.0, 15);
-  VertexicaOptions merge_opts;
-  merge_opts.use_union_input = false;
-  VertexicaOptions hash_opts;
-  hash_opts.use_union_input = false;
-  hash_opts.use_merge_join = false;
+  VertexicaOptions opts;
+  opts.use_union_input = false;
   Catalog cat1;
-  auto d1 = RunShortestPaths(&cat1, g, 0, merge_opts);
+  auto d1 = RunShortestPaths(&cat1, g, 0, opts);
   Catalog cat2;
-  auto d2 = RunShortestPaths(&cat2, g, 0, hash_opts);
+  Result<std::vector<double>> d2 = [&] {
+    ScopedMergeJoin hash(false);
+    return RunShortestPaths(&cat2, g, 0, opts);
+  }();
   ASSERT_TRUE(d1.ok());
   ASSERT_TRUE(d2.ok());
   for (size_t v = 0; v < d1->size(); ++v) {
@@ -634,7 +634,7 @@ TEST(ShardingTest, ShardedMergeJoinStillMergesOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Active-vertex frontier supersteps (exec/frontier.h): the worker input is
+// Active-vertex frontier supersteps (docs/EXECUTOR.md): the worker input is
 // gathered from a per-(shard-)table bitvector of non-halted vertices and
 // message receivers plus CSR edge slices instead of full scans. The
 // contract under test: bit-identical to the dense path at any mode × shard
