@@ -34,13 +34,14 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Storage property suites with the segment-encoding knob forced off and on
 # (docs/STORAGE.md): encode/decode and zone-map pruning must be
-# value-neutral in both worlds, and the csv/exec/vertexica paths must not
-# care how the engine tables are physically stored.
+# value-neutral in both worlds, and the csv/exec/vertexica paths — and
+# checkpoint/resume and served runs — must not care how the engine tables
+# are physically stored.
 (cd "$BUILD_DIR" && VERTEXICA_ENCODING=off \
-    ctest -R 'storage_test|csv_test|exec_test|api_test|vertexica_test' \
+    ctest -R 'storage_test|csv_test|exec_test|api_test|vertexica_test|extensions_test|server_test' \
     --output-on-failure -j "$(nproc)")
 (cd "$BUILD_DIR" && VERTEXICA_ENCODING=force \
-    ctest -R 'storage_test|csv_test|exec_test|api_test|vertexica_test' \
+    ctest -R 'storage_test|csv_test|exec_test|api_test|vertexica_test|extensions_test|server_test' \
     --output-on-failure -j "$(nproc)")
 
 # The exec/vertexica suites once more with the merge-join knob forced off:

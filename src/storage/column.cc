@@ -162,45 +162,32 @@ bool Column::Encode(EncodingMode mode) {
   // free whatever the encoding decision. A cached zone map is still
   // current (mutation drops it), so don't rebuild one.
   if (zone_map_ == nullptr) BuildZoneMap();
+  // RLE for INT64 and BOOL: count the runs first and build them only when
+  // encoding wins (or is forced), so a rejected column costs one pass and
+  // no allocation.
+  const auto rle_encode = [&](auto& values, auto encode) {
+    const int64_t num_runs = RleRunCount(values);
+    const auto plain_bytes =
+        static_cast<int64_t>(values.size() * sizeof(values[0]));
+    if (mode == EncodingMode::kAuto &&
+        num_runs * static_cast<int64_t>(sizeof(RleRun)) >= plain_bytes) {
+      return false;
+    }
+    auto segment = std::make_shared<EncodedSegment>();
+    segment->encoding = ColumnEncoding::kRle;
+    segment->length = length_;
+    segment->runs = encode(values);
+    segment->run_starts = RunStartOffsets(segment->runs);
+    segment_ = std::move(segment);
+    values.clear();
+    values.shrink_to_fit();
+    return true;
+  };
   switch (type_) {
-    case DataType::kInt64: {
-      auto runs = RleEncode(ints_);
-      const auto encoded_bytes =
-          static_cast<int64_t>(runs.size() * sizeof(RleRun));
-      const auto plain_bytes =
-          static_cast<int64_t>(ints_.size() * sizeof(int64_t));
-      if (mode == EncodingMode::kAuto && encoded_bytes >= plain_bytes) {
-        return false;
-      }
-      auto segment = std::make_shared<EncodedSegment>();
-      segment->encoding = ColumnEncoding::kRle;
-      segment->length = length_;
-      segment->runs = std::move(runs);
-      segment->run_starts = RunStartOffsets(segment->runs);
-      segment_ = std::move(segment);
-      ints_.clear();
-      ints_.shrink_to_fit();
-      return true;
-    }
-    case DataType::kBool: {
-      std::vector<int64_t> widened(bools_.begin(), bools_.end());
-      auto runs = RleEncode(widened);
-      const auto encoded_bytes =
-          static_cast<int64_t>(runs.size() * sizeof(RleRun));
-      const auto plain_bytes = static_cast<int64_t>(bools_.size());
-      if (mode == EncodingMode::kAuto && encoded_bytes >= plain_bytes) {
-        return false;
-      }
-      auto segment = std::make_shared<EncodedSegment>();
-      segment->encoding = ColumnEncoding::kRle;
-      segment->length = length_;
-      segment->runs = std::move(runs);
-      segment->run_starts = RunStartOffsets(segment->runs);
-      segment_ = std::move(segment);
-      bools_.clear();
-      bools_.shrink_to_fit();
-      return true;
-    }
+    case DataType::kInt64:
+      return rle_encode(ints_, RleEncode);
+    case DataType::kBool:
+      return rle_encode(bools_, RleEncodeBools);
     case DataType::kString: {
       auto dict = DictionaryEncode(strings_);
       int64_t plain_bytes = 0;

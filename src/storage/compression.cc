@@ -40,18 +40,16 @@ int64_t CompressedByteSize(const Column& column) {
         return validity +
                static_cast<int64_t>(runs->size() * sizeof(RleRun));
       }
-      const auto runs = RleEncode(column.ints());
-      return validity + static_cast<int64_t>(runs.size() * sizeof(RleRun));
+      return validity + RleRunCount(column.ints()) *
+                            static_cast<int64_t>(sizeof(RleRun));
     }
     case DataType::kBool: {
       if (const auto* runs = column.rle_runs()) {
         return validity +
                static_cast<int64_t>(runs->size() * sizeof(RleRun));
       }
-      std::vector<int64_t> widened(column.bools().begin(),
-                                   column.bools().end());
-      const auto runs = RleEncode(widened);
-      return validity + static_cast<int64_t>(runs.size() * sizeof(RleRun));
+      return validity + RleRunCount(column.bools()) *
+                            static_cast<int64_t>(sizeof(RleRun));
     }
     case DataType::kString:
       if (const auto* dict = column.dict()) {

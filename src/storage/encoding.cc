@@ -6,16 +6,47 @@
 
 namespace vertexica {
 
-std::vector<RleRun> RleEncode(const std::vector<int64_t>& values) {
+namespace {
+
+template <typename T>
+int64_t RleRunCountImpl(const std::vector<T>& values) {
+  int64_t runs = values.empty() ? 0 : 1;
+  for (size_t i = 1; i < values.size(); ++i) {
+    runs += values[i] != values[i - 1] ? 1 : 0;
+  }
+  return runs;
+}
+
+template <typename T>
+std::vector<RleRun> RleEncodeImpl(const std::vector<T>& values) {
   std::vector<RleRun> runs;
-  for (int64_t v : values) {
-    if (!runs.empty() && runs.back().value == v) {
+  for (T v : values) {
+    const auto value = static_cast<int64_t>(v);
+    if (!runs.empty() && runs.back().value == value) {
       ++runs.back().length;
     } else {
-      runs.push_back(RleRun{v, 1});
+      runs.push_back(RleRun{value, 1});
     }
   }
   return runs;
+}
+
+}  // namespace
+
+std::vector<RleRun> RleEncode(const std::vector<int64_t>& values) {
+  return RleEncodeImpl(values);
+}
+
+std::vector<RleRun> RleEncodeBools(const std::vector<uint8_t>& values) {
+  return RleEncodeImpl(values);
+}
+
+int64_t RleRunCount(const std::vector<int64_t>& values) {
+  return RleRunCountImpl(values);
+}
+
+int64_t RleRunCount(const std::vector<uint8_t>& values) {
+  return RleRunCountImpl(values);
 }
 
 std::vector<int64_t> RleDecode(const std::vector<RleRun>& runs) {

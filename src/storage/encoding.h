@@ -32,6 +32,15 @@ struct RleRun {
 /// \brief Run-length encodes an int64 sequence.
 std::vector<RleRun> RleEncode(const std::vector<int64_t>& values);
 
+/// \brief Run-length encodes a BOOL column's byte vector (no widening
+/// copy); run values are the bytes as stored.
+std::vector<RleRun> RleEncodeBools(const std::vector<uint8_t>& values);
+
+/// \brief The number of runs RleEncode would produce, counted in one pass
+/// without building them — what an encode-or-not decision needs.
+int64_t RleRunCount(const std::vector<int64_t>& values);
+int64_t RleRunCount(const std::vector<uint8_t>& values);
+
 /// \brief Inverse of RleEncode.
 std::vector<int64_t> RleDecode(const std::vector<RleRun>& runs);
 

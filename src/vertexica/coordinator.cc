@@ -9,7 +9,6 @@
 #include "catalog/catalog_io.h"
 #include "common/cancel.h"
 #include "common/fault_injection.h"
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
@@ -35,6 +34,10 @@ static_assert(ShardingSpec{}.base_partitions == kDefaultTransformPartitions,
 
 namespace {
 
+/// A word of eight halted flags, all set: AppendBool stores canonical 0/1
+/// bytes, so an all-halted 8-byte word compares equal to this.
+constexpr uint64_t kAllHalted = 0x0101010101010101ull;
+
 /// True when every vertex has voted to halt. With `halted_count` the scan
 /// also counts the halted vertices (one full pass — the frontier path's
 /// threshold decision reuses this instead of a second traversal); without
@@ -45,7 +48,8 @@ bool AllHalted(const Table& vertex, int64_t* halted_count = nullptr) {
     if (halted_count != nullptr) *halted_count = 0;
     return false;
   }
-  // Stored encoded between supersteps: one comparison per run instead of
+  // Encoded as loaded (the catalog's load-time encoding, until the first
+  // apply rewrites the column plain): one comparison per run instead of
   // per vertex (an all-halted column is a single run).
   if (const auto* runs = halted->rle_runs()) {
     int64_t count = 0;
@@ -59,10 +63,8 @@ bool AllHalted(const Table& vertex, int64_t* halted_count = nullptr) {
     if (halted_count != nullptr) *halted_count = count;
     return count == vertex.num_rows();
   }
-  // Plain path, word-at-a-time: AppendBool stores canonical 0/1 bytes, so
-  // an all-halted word compares equal to kAllHalted and the per-word halted
-  // count is just its popcount.
-  constexpr uint64_t kAllHalted = 0x0101010101010101ull;
+  // Plain path, word-at-a-time: an all-halted word compares equal to
+  // kAllHalted and the per-word halted count is just its popcount.
   const std::vector<uint8_t>& bytes = halted->bools();
   const size_t n = bytes.size();
   int64_t count = 0;
@@ -122,20 +124,19 @@ struct Frontier {
 /// activity rule), so restricting the input to them cannot change any
 /// output row.
 ///
-/// Gates, cheapest first: the knob (`mode` off), superstep 0 (everything is
-/// active by definition), and the structural precondition that the vertex
-/// table is declared sorted by id — receiver lookup is then a binary search
-/// per message destination, and the regimes line up: the in-place update
-/// path (the sparse regime this path targets) preserves that declared
-/// order, while the union-path replace rebuild (the dense regime) drops it.
-/// Under `auto` the halted scan short-circuits the build: active ≥
-/// non-halted, so a non-halted fraction above `threshold` is already a
-/// dense verdict before any bit is set.
+/// Gates, cheapest first: the knob (`mode` off) and superstep 0 (everything
+/// is active by definition). Receiver lookup is a binary search per message
+/// destination over the id column: the vertex table is sorted by id for the
+/// whole run (Coordinator::Run establishes the order, and both the in-place
+/// update and the replace rebuild keep it), on either input path. Under
+/// `auto` the halted scan short-circuits the build: active ≥ non-halted, so
+/// a non-halted fraction above `threshold` is already a dense verdict
+/// before any bit is set.
 bool ComputeFrontier(const Table& vertex, const Table& message,
                      FrontierMode mode, int superstep, double threshold,
                      Frontier* out) {
   if (mode == FrontierMode::kOff || superstep == 0) return false;
-  if (!OrderedByColumn(vertex, "id")) return false;
+  VX_DCHECK(OrderedByColumn(vertex, "id"));
   const int64_t num_vertices = vertex.num_rows();
   if (num_vertices == 0) return false;
   const double budget =
@@ -150,10 +151,11 @@ bool ComputeFrontier(const Table& vertex, const Table& message,
   }
 
   Bitvector bits(num_vertices);
-  // Non-halted vertices, straight from the stored halted column (RLE runs
-  // when encoded — a mostly-halted column is a handful of runs).
+  // Non-halted vertices (none to find when the count above says so): RLE
+  // runs when encoded, otherwise word-at-a-time, testing single flags only
+  // inside words that are not all halted.
   const Column* halted = vertex.ColumnByName("halted");
-  if (halted != nullptr) {
+  if (halted != nullptr && non_halted > 0) {
     if (const auto* runs = halted->rle_runs()) {
       const auto& starts = *halted->rle_run_starts();
       for (size_t k = 0; k < runs->size(); ++k) {
@@ -162,9 +164,18 @@ bool ComputeFrontier(const Table& vertex, const Table& message,
         for (int64_t r = starts[k]; r < end; ++r) bits.Set(r);
       }
     } else {
-      const auto& bytes = halted->bools();
-      for (int64_t r = 0; r < num_vertices; ++r) {
-        if (bytes[static_cast<size_t>(r)] == 0) bits.Set(r);
+      const uint8_t* bytes = halted->bools().data();
+      int64_t r = 0;
+      for (; r + 8 <= num_vertices; r += 8) {
+        uint64_t word;
+        std::memcpy(&word, bytes + r, sizeof(word));
+        if (word == kAllHalted) continue;
+        for (int64_t k = r; k < r + 8; ++k) {
+          if (bytes[k] == 0) bits.Set(k);
+        }
+      }
+      for (; r < num_vertices; ++r) {
+        if (bytes[r] == 0) bits.Set(r);
       }
     }
   }
@@ -537,7 +548,7 @@ Result<Table> Coordinator::BuildJoinInputFrontier(
   // bit-identical to the dense plan's.
   Table active = vertex->Take(frontier.SetIndices());
   // Take conservatively drops the declared order, but the gather indices
-  // are ascending over an id-sorted table (a frontier precondition) — the
+  // are ascending over an id-sorted table (a run-wide invariant) — the
   // restriction is still id-sorted; re-declare it so the superstep joins
   // keep merging.
   VX_ASSIGN_OR_RETURN(int id_c, active.ColumnIndex("id"));
@@ -549,21 +560,14 @@ Result<Table> Coordinator::BuildJoinInputFrontier(
 Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
                                                  const Table& updates) const {
   const int va = program_->value_arity();
-  Table out = vertex;  // copy-on-write of the stored version
+  // The vertex table is sorted by id for the whole run (see Run), so each
+  // update finds its row by binary search over the id column: the scatter
+  // costs O(updates · log V), with no per-superstep index over all ids.
+  VX_DCHECK(OrderedByColumn(vertex, "id"));
+  Table out = vertex;  // copy of the stored version; ids are shared below
   VX_ASSIGN_OR_RETURN(int id_c, out.ColumnIndex("id"));
   VX_ASSIGN_OR_RETURN(int halted_c, out.ColumnIndex("halted"));
-  // The scatter rewrites halted/value cells in place but never moves rows
-  // and never touches ids, so a declared sorted-by-id order survives;
-  // remember it and re-declare after the mutable_column accesses below
-  // conservatively drop it. (Only the id key is safe to re-declare — the
-  // other columns are exactly the ones being rewritten.)
-  const bool ordered_by_id = OrderedByColumn(out, "id");
-
-  Int64HashMap<int64_t> row_of(static_cast<size_t>(out.num_rows()));
-  const auto& ids = out.column(id_c).ints();
-  for (int64_t r = 0; r < out.num_rows(); ++r) {
-    row_of.GetOrInsert(ids[static_cast<size_t>(r)], r);
-  }
+  const auto& ids = vertex.column(id_c).ints();
 
   auto& halted = *out.mutable_column(halted_c)->mutable_bools();
   std::vector<std::vector<double>*> vcols(static_cast<size_t>(va));
@@ -591,9 +595,9 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
       static_cast<size_t>(kDefaultMorselRows),
       [&](size_t begin, size_t end) {
         for (size_t su = begin; su < end; ++su) {
-          const int64_t* row = row_of.Find(uids[su]);
-          if (row == nullptr) continue;
-          const auto sr = static_cast<size_t>(*row);
+          const auto it = std::lower_bound(ids.begin(), ids.end(), uids[su]);
+          if (it == ids.end() || *it != uids[su]) continue;
+          const auto sr = static_cast<size_t>(it - ids.begin());
           halted[sr] = uhalted[su];
           for (int i = 0; i < va; ++i) {
             (*vcols[static_cast<size_t>(i)])[sr] =
@@ -603,7 +607,11 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
         return Status::OK();
       },
       ExecThreads()));
-  if (ordered_by_id) out.SetSortOrder({{id_c, true}});
+  // The scatter rewrites halted/value cells but never moves rows or touches
+  // ids, so the id order survives; re-declare it after the mutable_column
+  // accesses above conservatively dropped it. (Only the id key is safe to
+  // re-declare — the other columns are exactly the ones rewritten.)
+  out.SetSortOrder({{id_c, true}});
   return out;
 }
 
@@ -641,8 +649,9 @@ Result<Table> Coordinator::RebuildVertices(const Table& vertex,
       .Execute();
 }
 
-Status Coordinator::RestoreSortedInvariant(
-    const std::string& table_name, const std::vector<std::string>& keys) const {
+Status Coordinator::RestoreSortedInvariant(const std::string& table_name,
+                                           const std::vector<std::string>& keys,
+                                           bool sort_unsorted) const {
   if (!catalog_->HasTable(table_name)) return Status::OK();
   VX_ASSIGN_OR_RETURN(auto table, catalog_->GetTable(table_name));
   std::vector<SortKey> order;
@@ -653,9 +662,13 @@ Status Coordinator::RestoreSortedInvariant(
     order.push_back({c, true});
   }
   if (table->OrderCoversKeys(cols)) return Status::OK();  // already declared
-  // Not verifiably sorted (e.g. restored from a union-path checkpoint):
-  // leave it — the per-superstep maintenance re-sorts what it needs.
-  if (!TableSortedOnKeys(*table, cols)) return Status::OK();
+  if (!TableSortedOnKeys(*table, cols)) {
+    // Not in key order (e.g. a catalog table built in arbitrary row order):
+    // sort it once, stably, when asked; otherwise leave it — the
+    // per-superstep maintenance re-sorts what it needs.
+    if (!sort_unsorted) return Status::OK();
+    return catalog_->ReplaceTable(table_name, SortTable(*table, order));
+  }
   // ReplaceTable needs a value, so attaching the declaration costs one
   // table copy — paid once per run, and only when the declaration is
   // missing (i.e. a checkpoint-restored catalog), never on a fresh load.
@@ -690,10 +703,19 @@ Status Coordinator::Run(RunStats* stats) {
   // declarations (catalog_io persists none); re-establish them up front
   // (one verification pass per table) so a resumed run merges like a
   // fresh one instead of silently hashing to the end.
+  //
+  // The vertex table's id order is a run-wide invariant on both input
+  // paths (the in-place update and the frontier binary-search it), so a
+  // vertex table in any other order is stable-sorted once here. Its row
+  // order cannot change a result: every id owns exactly one row, and
+  // worker input is stable-sorted by id per partition.
+  VX_RETURN_NOT_OK(
+      RestoreSortedInvariant(names_.vertex, {"id"}, /*sort_unsorted=*/true));
   if (!options_.use_union_input) {
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.vertex, {"id"}));
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.edge, {"src", "dst"}));
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.message, {"dst"}));
+    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.edge, {"src", "dst"},
+                                            /*sort_unsorted=*/false));
+    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.message, {"dst"},
+                                            /*sort_unsorted=*/false));
   }
 
   // §1 durability: resume from a checkpoint marker restored by LoadCatalog.
@@ -998,11 +1020,12 @@ Status Coordinator::Run(RunStats* stats) {
     // ---- Update vs. replace (§2.3), per shard. -------------------------
     // One global decision from the global update fraction, applied
     // shard-locally — worker updates only ever target vertices of their
-    // own shard. Both stored tables are (re-)encoded before the swap so
-    // they stay compressed between supersteps (storage/encoding.h); the
-    // next superstep's scans decode lazily, and whole-table passes like
-    // AllHalted read runs directly. Value-neutral: results are
-    // bit-identical with the encoding knob off.
+    // own shard. The vertex and message tables are rewritten every
+    // superstep, so they stay plain between supersteps: encoding them
+    // would cost an encode (and the next superstep's full decode) per
+    // superstep for tables read about once. Only the edge table — read
+    // every superstep, never rewritten — keeps its load-time encoding
+    // (storage/encoding.h). Value-neutral either way.
     bool used_replace = false;
     if (total_updates > 0) {
       const double frac =
@@ -1040,9 +1063,6 @@ Status Coordinator::Run(RunStats* stats) {
                   new_vertex = SortTable(new_vertex, {{id_c, true}});
                 }
               }
-              if (knobs.encoding != EncodingMode::kOff) {
-                new_vertex.EncodeColumns(knobs.encoding);
-              }
               vertex.ReplaceShard(static_cast<int>(s), std::move(new_vertex));
             }
             return Status::OK();
@@ -1058,9 +1078,6 @@ Status Coordinator::Run(RunStats* stats) {
     std::vector<int64_t> shard_message_rows;
     for (int s = 0; s < num_shards; ++s) {
       Table& t = inbound[static_cast<size_t>(s)];
-      if (knobs.encoding != EncodingMode::kOff) {
-        t.EncodeColumns(knobs.encoding);
-      }
       if (num_shards > 1) shard_message_rows.push_back(t.num_rows());
       message.ReplaceShard(s, std::move(t));
     }

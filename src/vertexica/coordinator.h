@@ -55,9 +55,12 @@ struct SuperstepStats {
 
   /// \name Stored-table footprint (storage/encoding.h)
   /// Sizes of the vertex + message tables as stored at the end of the
-  /// superstep: `encoded_bytes` is the actual (possibly compressed)
-  /// representation, `decoded_bytes` the plain equivalent; equal when the
-  /// encoding knob is off.
+  /// superstep: `encoded_bytes` is the actual representation,
+  /// `decoded_bytes` the plain equivalent. Both tables are rewritten every
+  /// superstep and stay plain between supersteps (only the edge table is
+  /// kept encoded), so the two are equal except for columns the superstep
+  /// left untouched since load — e.g. the id column of a vertex table
+  /// updated in place keeps its load-time encoding.
   /// @{
   int64_t encoded_bytes = 0;
   int64_t decoded_bytes = 0;
@@ -219,7 +222,8 @@ class Coordinator {
   /// over a message table; otherwise returns it unchanged.
   Result<Table> CombineMessages(Table messages) const;
   /// In-place path of §2.3 "Update Vs Replace": copies the vertex columns
-  /// and scatters the updates.
+  /// and scatters the updates, finding each update's row by binary search
+  /// over the id-sorted vertex table.
   Result<Table> UpdateVerticesInPlace(const Table& vertex,
                                       const Table& updates) const;
   /// Replace path: anti-join out updated ids, union the new rows.
@@ -230,9 +234,12 @@ class Coordinator {
   /// verifiably in that order but the declaration is missing — checkpoint
   /// restore (catalog_io) persists no sort-order metadata, and without
   /// this a resumed run would silently pin every superstep join to the
-  /// hash path.
+  /// hash path. A table not in key order is stable-sorted on `keys` when
+  /// `sort_unsorted` is set (the vertex table's run-wide id order) and
+  /// left as it is otherwise.
   Status RestoreSortedInvariant(const std::string& table_name,
-                                const std::vector<std::string>& keys) const;
+                                const std::vector<std::string>& keys,
+                                bool sort_unsorted) const;
 
   Catalog* catalog_;
   VertexProgram* program_;

@@ -380,6 +380,122 @@ TEST(CheckpointTest, ResumedRunMatchesUninterrupted) {
   }
 }
 
+/// An RMAT core plus a chain hanging off vertex 0: SSSP from 0 settles the
+/// core in a few dense supersteps, then walks the chain one vertex per
+/// superstep — the long tail the frontier path exists for.
+Graph LongTailGraph(int64_t chain) {
+  Graph g = GenerateRmat(80, 400, 97);
+  AssignRandomWeights(&g, 1.0, 4.0, 98);
+  const int64_t core = g.num_vertices;
+  g.num_vertices = core + chain;
+  g.AddEdge(0, core, 1.0);
+  for (int64_t v = core; v + 1 < core + chain; ++v) g.AddEdge(v, v + 1, 1.0);
+  return g;
+}
+
+TEST(CheckpointTest, ResumedUnionPathRunTakesTheFrontier) {
+  // The restored vertex table carries no sort-order declaration; the
+  // coordinator re-establishes the id order at run start on the union path
+  // too, so a resumed union-path run still goes sparse on the long tail.
+  ScopedFrontierMode automatic(FrontierMode::kAuto);  // pin against env
+  const Graph g = LongTailGraph(60);
+  Catalog full;
+  auto expect = RunShortestPaths(&full, g, 0);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+
+  const std::string dir = testing::TempDir() + "/vx_ckpt_union_frontier";
+  ShortestPathProgram program(0);
+  Catalog cat;
+  ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+  VertexicaOptions opts;
+  opts.use_union_input = true;
+  opts.max_supersteps = 3;  // "crash" after superstep 2
+  opts.checkpoint_every = 1;
+  opts.checkpoint_dir = dir;
+  Coordinator interrupted(&cat, &program, opts);
+  ASSERT_TRUE(interrupted.Run().ok());
+
+  Catalog recovered;
+  ASSERT_TRUE(LoadCatalog(dir, &recovered).ok());
+  VertexicaOptions resume = opts;
+  resume.max_supersteps = 500;
+  resume.checkpoint_every = 0;
+  resume.resume_from_checkpoint = true;
+  ShortestPathProgram program2(0);
+  Coordinator resumed(&recovered, &program2, resume);
+  RunStats stats;
+  ASSERT_TRUE(resumed.Run(&stats).ok());
+  ASSERT_FALSE(stats.supersteps.empty());
+  EXPECT_GE(stats.supersteps.front().superstep, 3);
+  EXPECT_GT(stats.frontier_supersteps, 0);
+
+  auto dists = ReadVertexValues(recovered, {});
+  ASSERT_TRUE(dists.ok());
+  ASSERT_EQ(dists->size(), expect->size());
+  for (size_t v = 0; v < expect->size(); ++v) {
+    EXPECT_EQ((*dists)[v], (*expect)[v]) << "vertex " << v;
+  }
+}
+
+/// SSSP from vertex 0 on `g`; with `shuffle` the loaded vertex table is
+/// first replaced by a row permutation of itself with no declared order.
+Result<std::vector<double>> RunSsspOnVertexOrder(const Graph& g,
+                                                 VertexicaOptions opts,
+                                                 bool shuffle,
+                                                 RunStats* stats) {
+  ShortestPathProgram program(0);
+  Catalog cat;
+  VX_RETURN_NOT_OK(LoadGraphTables(&cat, g, program));
+  if (shuffle) {
+    VX_ASSIGN_OR_RETURN(auto vertex, cat.GetTable("vertex"));
+    // A stride permutation (7919 is prime, so coprime to the row count).
+    const int64_t n = vertex->num_rows();
+    std::vector<int64_t> rows(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      rows[static_cast<size_t>(i)] = (i * 7919) % n;
+    }
+    Table shuffled = vertex->Take(rows);
+    EXPECT_TRUE(shuffled.sort_order().empty());
+    EXPECT_NE(shuffled.column(0).GetInt64(1), 1);
+    VX_RETURN_NOT_OK(cat.ReplaceTable("vertex", std::move(shuffled)));
+  }
+  Coordinator coordinator(&cat, &program, opts);
+  VX_RETURN_NOT_OK(coordinator.Run(stats));
+  return ReadVertexValues(cat, {});
+}
+
+TEST(CheckpointTest, ShuffledVertexTableMatchesSortedRun) {
+  // A catalog vertex table in arbitrary row order is sorted by id once at
+  // run start; from then on the in-place update binary-searches it and the
+  // frontier looks receivers up in it, on both input paths. Row order of
+  // the vertex table cannot change a result.
+  ScopedFrontierMode automatic(FrontierMode::kAuto);  // pin against env
+  const Graph g = LongTailGraph(60);
+  for (const bool union_input : {true, false}) {
+    VertexicaOptions opts;
+    opts.use_union_input = union_input;
+    opts.update_threshold = 2.0;  // every superstep updates in place
+    RunStats sorted_stats;
+    RunStats shuffled_stats;
+    auto sorted = RunSsspOnVertexOrder(g, opts, false, &sorted_stats);
+    auto shuffled = RunSsspOnVertexOrder(g, opts, true, &shuffled_stats);
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+    ASSERT_EQ(shuffled->size(), sorted->size());
+    for (size_t v = 0; v < sorted->size(); ++v) {
+      EXPECT_EQ((*shuffled)[v], (*sorted)[v])
+          << (union_input ? "union" : "join") << " input, vertex " << v;
+    }
+    EXPECT_EQ(shuffled_stats.num_supersteps(), sorted_stats.num_supersteps());
+    EXPECT_EQ(shuffled_stats.frontier_supersteps,
+              sorted_stats.frontier_supersteps);
+    EXPECT_GT(shuffled_stats.frontier_supersteps, 0);
+    for (const SuperstepStats& s : shuffled_stats.supersteps) {
+      EXPECT_FALSE(s.used_replace) << "superstep " << s.superstep;
+    }
+  }
+}
+
 TEST(CheckpointTest, ResumedJoinPathKeepsMergeJoins) {
   ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
   ScopedExecShards one(1);  // exact per-step counters assume 1 shard

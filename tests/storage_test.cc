@@ -513,6 +513,50 @@ TEST(EncodingTest, AutoDeclinesIncompressible) {
   EXPECT_NE(c.zone_map(), nullptr);  // the zone map still gets built
 }
 
+TEST(EncodingTest, AutoDecidesFromTheRunCountForceAlwaysEncodes) {
+  // The encode-or-not decision counts runs without building them; the
+  // count must be exactly the run vector RleEncode would build.
+  std::vector<int64_t> distinct(1000);
+  for (int64_t i = 0; i < 1000; ++i) distinct[static_cast<size_t>(i)] = i;
+  const std::vector<uint8_t> flags = {0, 0, 1, 1, 1, 0};
+  EXPECT_EQ(RleRunCount(distinct), 1000);
+  EXPECT_EQ(RleRunCount(flags), 3);
+  EXPECT_EQ(RleEncodeBools(flags).size(), 3u);
+  EXPECT_EQ(RleRunCount(std::vector<int64_t>{}), 0);
+
+  // Distinct INT64: RLE loses, so `auto` keeps it plain but still builds
+  // the zone map; `force` encodes it anyway. Values are unchanged either
+  // way.
+  const Column plain = Column::FromInts(distinct);
+  Column automatic = plain;
+  EXPECT_FALSE(automatic.Encode(EncodingMode::kAuto));
+  EXPECT_EQ(automatic.encoding(), ColumnEncoding::kPlain);
+  EXPECT_NE(automatic.zone_map(), nullptr);
+  EXPECT_TRUE(automatic.Equals(plain));
+  Column forced = plain;
+  ASSERT_TRUE(forced.Encode(EncodingMode::kForce));
+  EXPECT_EQ(forced.encoding(), ColumnEncoding::kRle);
+  ASSERT_NE(forced.rle_runs(), nullptr);
+  EXPECT_EQ(forced.rle_runs()->size(), 1000u);
+  EXPECT_NE(forced.zone_map(), nullptr);
+  EXPECT_TRUE(forced.Equals(plain));
+
+  // BOOL decides on the same count: an alternating column (one 16-byte run
+  // per 1-byte row) stays plain under `auto`; a constant one is one run.
+  std::vector<uint8_t> alternating(64);
+  for (size_t i = 0; i < alternating.size(); ++i) alternating[i] = i % 2;
+  Column flip = Column::FromBools(alternating);
+  EXPECT_FALSE(flip.Encode(EncodingMode::kAuto));
+  EXPECT_NE(flip.zone_map(), nullptr);
+  Column flip_forced = Column::FromBools(alternating);
+  ASSERT_TRUE(flip_forced.Encode(EncodingMode::kForce));
+  EXPECT_EQ(flip_forced.rle_runs()->size(), alternating.size());
+  EXPECT_TRUE(flip_forced.Equals(Column::FromBools(alternating)));
+  Column halted = Column::FromBools(std::vector<uint8_t>(1000, 1));
+  ASSERT_TRUE(halted.Encode(EncodingMode::kAuto));
+  EXPECT_EQ(halted.rle_runs()->size(), 1u);
+}
+
 TEST(EncodingTest, MutationRevertsToPlainAndDropsZoneMap) {
   Column c = Column::FromInts({1, 1, 1, 1});
   ASSERT_TRUE(c.Encode(EncodingMode::kForce));

@@ -653,10 +653,8 @@ TEST(FrontierTest, PageRankBitIdenticalAcrossModes) {
   for (const bool union_input : {true, false}) {
     VertexicaOptions opts;
     opts.use_union_input = union_input;
-    // In-place updates preserve the vertex table's declared id order — the
-    // frontier's structural precondition — on both input paths. (PageRank
-    // updates every vertex, so the default threshold would take the
-    // replace path, whose union-path rebuild legitimately goes dense.)
+    // Pin the in-place update path: PageRank updates every vertex, so the
+    // default threshold would take the replace path every superstep.
     opts.update_threshold = 2.0;
     Catalog cat0;
     std::vector<double> dense;
@@ -705,19 +703,26 @@ TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     dense = *r;
   }
-  for (const FrontierMode mode : {FrontierMode::kOn, FrontierMode::kAuto}) {
-    for (const int shards : {1, 2, 8}) {
-      ScopedFrontierMode scoped(mode);
-      VertexicaOptions opts;
-      opts.num_shards = shards;
-      Catalog cat;
-      auto r = RunShortestPaths(&cat, g, 0, opts);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      ASSERT_EQ(r->size(), dense.size());
-      for (size_t v = 0; v < dense.size(); ++v) {
-        EXPECT_EQ((*r)[v], dense[v])
-            << "mode=" << FrontierModeName(mode) << ", shards=" << shards
-            << ", vertex " << v;
+  // The encoding axis changes how the loaded tables are stored (and so
+  // which halted/dst access paths the frontier takes), never a value.
+  for (const EncodingMode encoding :
+       {EncodingMode::kOff, EncodingMode::kAuto, EncodingMode::kForce}) {
+    for (const FrontierMode mode : {FrontierMode::kOn, FrontierMode::kAuto}) {
+      for (const int shards : {1, 2, 8}) {
+        ScopedEncodingMode scoped_encoding(encoding);
+        ScopedFrontierMode scoped(mode);
+        VertexicaOptions opts;
+        opts.num_shards = shards;
+        Catalog cat;
+        auto r = RunShortestPaths(&cat, g, 0, opts);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ASSERT_EQ(r->size(), dense.size());
+        for (size_t v = 0; v < dense.size(); ++v) {
+          EXPECT_EQ((*r)[v], dense[v])
+              << "encoding=" << EncodingModeName(encoding)
+              << ", mode=" << FrontierModeName(mode) << ", shards=" << shards
+              << ", vertex " << v;
+        }
       }
     }
   }
@@ -732,6 +737,47 @@ TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
     for (size_t v = 0; v < dense.size(); ++v) {
       EXPECT_EQ((*r)[v], dense[v])
           << "threads=" << threads << ", vertex " << v;
+    }
+  }
+}
+
+/// Odd vertices halt at once; even vertices stay active for five supersteps
+/// without ever receiving a message, counting the supersteps they compute.
+/// Every 8-vertex word of the halted column then mixes halted and
+/// non-halted vertices, and only the halted scan can put the even vertices
+/// into the frontier.
+class AlternateHaltProgram : public VertexProgram {
+ public:
+  int value_arity() const override { return 1; }
+  int message_arity() const override { return 1; }
+  void InitValue(int64_t, int64_t, double* v) const override { v[0] = 0; }
+  void Compute(VertexContext* ctx) override {
+    if (ctx->vertex_id() % 2 == 1 || ctx->superstep() >= 5) {
+      ctx->VoteToHalt();
+      return;
+    }
+    ctx->ModifyVertexValue(ctx->GetVertexValue(0) + 1.0);
+  }
+};
+
+TEST(FrontierTest, NonHaltedVerticesWithoutMessagesStayActive) {
+  Graph g;
+  g.num_vertices = 43;  // five full words plus a tail
+  ScopedFrontierMode on(FrontierMode::kOn);
+  for (const bool union_input : {true, false}) {
+    VertexicaOptions opts;
+    opts.use_union_input = union_input;
+    AlternateHaltProgram program;
+    Catalog cat;
+    RunStats stats;
+    ASSERT_TRUE(RunVertexProgram(&cat, g, &program, opts, {}, &stats).ok());
+    EXPECT_GT(stats.frontier_supersteps, 0);
+    auto vals = ReadVertexValues(cat, {});
+    ASSERT_TRUE(vals.ok());
+    ASSERT_EQ(vals->size(), 43u);
+    for (size_t v = 0; v < vals->size(); ++v) {
+      EXPECT_EQ((*vals)[v], v % 2 == 0 ? 5.0 : 0.0)
+          << (union_input ? "union" : "join") << " input, vertex " << v;
     }
   }
 }
