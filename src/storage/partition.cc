@@ -13,15 +13,6 @@ namespace {
 
 // ------------------------------------------------------------ the scatter
 
-/// Row-index buckets of one scatter, plus — on the RLE fast path — the
-/// per-bucket key columns as runs, so the gather can rebuild them without
-/// the source key column ever being decoded.
-struct ScatterPlan {
-  std::vector<std::vector<int64_t>> indices;  // per bucket, ascending
-  std::vector<std::vector<RleRun>> key_runs;  // filled iff have_key_runs
-  bool have_key_runs = false;
-};
-
 /// Computes the bucket of every row of `keys` under `bucket_of` (a non-NULL
 /// int64 -> bucket id map). This is the single implementation of the
 /// scatter contract in partition.h: NULL keys to bucket 0 via the validity
@@ -75,28 +66,6 @@ ScatterPlan ScatterByKey(const Column& keys, int num_buckets,
   return plan;
 }
 
-/// Materializes bucket `b` of the plan. With rebuilt key runs available the
-/// key column is constructed straight from them (already RLE-encoded, never
-/// decoded); every other column gathers normally. Consumes the bucket's
-/// run vector — each bucket is gathered exactly once.
-Table GatherBucket(const Table& table, int key_column, ScatterPlan& plan,
-                   size_t b) {
-  const auto& idx = plan.indices[b];
-  if (!plan.have_key_runs) return table.Take(idx);
-  std::vector<Column> columns;
-  columns.reserve(static_cast<size_t>(table.num_columns()));
-  for (int c = 0; c < table.num_columns(); ++c) {
-    if (c == key_column) {
-      columns.push_back(Column::FromRleRuns(std::move(plan.key_runs[b])));
-    } else {
-      columns.push_back(table.column(c).Take(idx));
-    }
-  }
-  auto made = Table::Make(table.schema(), std::move(columns));
-  VX_CHECK(made.ok()) << made.status().ToString();
-  return std::move(made).MoveValueUnsafe();
-}
-
 Status ValidateSpec(const ShardingSpec& spec) {
   if (spec.num_shards < 1 || spec.base_partitions < 1 ||
       spec.num_shards > spec.base_partitions) {
@@ -117,19 +86,115 @@ Status ValidateKeyColumn(const Table& table, int key_column) {
 
 }  // namespace
 
-std::vector<Table> HashPartition(const Table& table, int key_column,
-                                 int num_partitions) {
-  VX_CHECK(num_partitions > 0);
-  VX_CHECK_OK(ValidateKeyColumn(table, key_column));
-  const Column& keys = table.column(key_column);
-  ScatterPlan plan =
-      ScatterByKey(keys, num_partitions, [num_partitions](int64_t key) {
+Result<ScatterPlan> PlanHashPartition(const Table& table, int key_column,
+                                      int num_partitions) {
+  if (num_partitions < 1) {
+    return Status::InvalidArgument("partition count must be positive");
+  }
+  VX_RETURN_NOT_OK(ValidateKeyColumn(table, key_column));
+  ScatterPlan plan = ScatterByKey(
+      table.column(key_column), num_partitions, [num_partitions](int64_t key) {
         return PartitionOf(key, num_partitions);
       });
+  for (int b = 0; b < num_partitions; ++b) {
+    if (!plan.indices[static_cast<size_t>(b)].empty()) {
+      plan.non_empty.push_back(b);
+    }
+  }
+  VX_DCHECK_OK(CheckHashPartitionPlan(table, key_column, num_partitions, plan));
+  return plan;
+}
+
+Table GatherPartition(const Table& table, int key_column, ScatterPlan* plan,
+                      int b) {
+  const auto bz = static_cast<size_t>(b);
+  const std::vector<int64_t> idx = std::move(plan->indices[bz]);
+  if (!plan->have_key_runs) return table.Take(idx);
+  std::vector<Column> columns;
+  columns.reserve(static_cast<size_t>(table.num_columns()));
+  for (int c = 0; c < table.num_columns(); ++c) {
+    if (c == key_column) {
+      columns.push_back(Column::FromRleRuns(std::move(plan->key_runs[bz])));
+    } else {
+      columns.push_back(table.column(c).Take(idx));
+    }
+  }
+  auto made = Table::Make(table.schema(), std::move(columns));
+  VX_CHECK(made.ok()) << made.status().ToString();
+  return std::move(made).MoveValueUnsafe();
+}
+
+Status CheckHashPartitionPlan(const Table& table, int key_column,
+                              int num_partitions, const ScatterPlan& plan) {
+  const int64_t rows = table.num_rows();
+  if (static_cast<int>(plan.indices.size()) != num_partitions) {
+    return Status::Internal(StringFormat(
+        "scatter plan invariant violated: %zu buckets for %d partitions",
+        plan.indices.size(), num_partitions));
+  }
+  const Column& keys = table.column(key_column);
+  std::vector<uint8_t> seen(static_cast<size_t>(rows), 0);
+  std::vector<int> occupied;
+  for (int b = 0; b < num_partitions; ++b) {
+    const auto& idx = plan.indices[static_cast<size_t>(b)];
+    if (!idx.empty()) occupied.push_back(b);
+    for (size_t i = 0; i < idx.size(); ++i) {
+      const int64_t r = idx[i];
+      if (r < 0 || r >= rows || seen[static_cast<size_t>(r)] != 0 ||
+          (i > 0 && idx[i - 1] >= r)) {
+        return Status::Internal(StringFormat(
+            "scatter plan invariant violated: bucket %d entry %zu (row %lld) "
+            "is out of range, repeated or not ascending",
+            b, i, static_cast<long long>(r)));
+      }
+      seen[static_cast<size_t>(r)] = 1;
+      const int want = keys.IsNull(r)
+                           ? 0
+                           : PartitionOf(keys.GetInt64(r), num_partitions);
+      if (want != b) {
+        return Status::Internal(StringFormat(
+            "scatter plan invariant violated: row %lld sits in bucket %d but "
+            "belongs to bucket %d",
+            static_cast<long long>(r), b, want));
+      }
+    }
+    if (plan.have_key_runs) {
+      int64_t covered = 0;
+      for (const RleRun& run : plan.key_runs[static_cast<size_t>(b)]) {
+        covered += run.length;
+      }
+      if (covered != static_cast<int64_t>(idx.size())) {
+        return Status::Internal(StringFormat(
+            "scatter plan invariant violated: bucket %d holds %zu rows but "
+            "its key runs cover %lld",
+            b, idx.size(), static_cast<long long>(covered)));
+      }
+    }
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    if (seen[static_cast<size_t>(r)] == 0) {
+      return Status::Internal(StringFormat(
+          "scatter plan invariant violated: row %lld is in no bucket",
+          static_cast<long long>(r)));
+    }
+  }
+  if (occupied != plan.non_empty) {
+    return Status::Internal(
+        "scatter plan invariant violated: non-empty bucket list does not "
+        "match the occupied buckets");
+  }
+  return Status::OK();
+}
+
+std::vector<Table> HashPartition(const Table& table, int key_column,
+                                 int num_partitions) {
+  auto planned = PlanHashPartition(table, key_column, num_partitions);
+  VX_CHECK_OK(planned.status());
+  ScatterPlan plan = std::move(planned).MoveValueUnsafe();
   std::vector<Table> out;
   out.reserve(static_cast<size_t>(num_partitions));
-  for (size_t b = 0; b < plan.indices.size(); ++b) {
-    out.push_back(GatherBucket(table, key_column, plan, b));
+  for (int b = 0; b < num_partitions; ++b) {
+    out.push_back(GatherPartition(table, key_column, &plan, b));
   }
   return out;
 }
@@ -145,8 +210,8 @@ Result<std::vector<Table>> ShardScatter(const Table& table, int key_column,
       [&spec](int64_t key) { return spec.ShardOfKey(key); });
   std::vector<Table> out;
   out.reserve(static_cast<size_t>(spec.num_shards));
-  for (size_t b = 0; b < plan.indices.size(); ++b) {
-    Table shard = GatherBucket(table, key_column, plan, b);
+  for (int b = 0; b < spec.num_shards; ++b) {
+    Table shard = GatherPartition(table, key_column, &plan, b);
     // A stable scatter keeps every shard a subsequence of the input, so
     // the input's declared order holds shard-locally — re-declare it
     // (Take/Make conservatively dropped it).
@@ -168,7 +233,7 @@ Result<PartitionSet> PartitionSet::Build(TablePtr table, int key_column,
     // would only copy a table the caller already holds.
     VX_RETURN_NOT_OK(ValidateSpec(spec));
     VX_RETURN_NOT_OK(ValidateKeyColumn(*table, key_column));
-    set.shards_.push_back(std::move(table));
+    set.shards_.push_back({std::move(table), nullptr});
   } else {
     VX_ASSIGN_OR_RETURN(std::vector<Table> shards,
                         ShardScatter(*table, key_column, spec));
@@ -180,7 +245,9 @@ Result<PartitionSet> PartitionSet::Build(TablePtr table, int key_column,
       // maps for the columns it encodes (a key column rebuilt from runs is
       // already RLE and keeps its segment).
       if (mode != EncodingMode::kOff) shard.EncodeColumns(mode);
-      set.shards_.push_back(std::make_shared<const Table>(std::move(shard)));
+      auto owned = std::make_shared<Table>(std::move(shard));
+      Table* writable = owned.get();
+      set.shards_.push_back({std::move(owned), writable});
     }
   }
   // Self-audit the freshly built set (placement, per-shard structure): a
@@ -197,13 +264,27 @@ Result<PartitionSet> PartitionSet::Build(const Table& table, int key_column,
 
 int64_t PartitionSet::total_rows() const {
   int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->num_rows();
+  for (const Shard& shard : shards_) total += shard.table->num_rows();
   return total;
 }
 
 void PartitionSet::ReplaceShard(int s, Table t) {
-  shards_[static_cast<size_t>(s)] =
-      std::make_shared<const Table>(std::move(t));
+  Shard& shard = shards_[static_cast<size_t>(s)];
+  auto owned = std::make_shared<Table>(std::move(t));
+  shard.writable = owned.get();
+  shard.table = std::move(owned);
+}
+
+Table* PartitionSet::MutableShard(int s) {
+  Shard& shard = shards_[static_cast<size_t>(s)];
+  // use_count() == 1 is exact here: only the set holds the pointer, so no
+  // other thread can be taking a new reference concurrently.
+  if (shard.writable == nullptr || shard.table.use_count() != 1) {
+    auto copy = std::make_shared<Table>(*shard.table);
+    shard.writable = copy.get();
+    shard.table = std::move(copy);
+  }
+  return shard.writable;
 }
 
 Status ShardingSpec::Validate() const {
@@ -245,7 +326,7 @@ Status PartitionSet::CheckInvariants() const {
         shards_.size(), spec_.num_shards));
   }
   for (int s = 0; s < num_shards(); ++s) {
-    const TablePtr& shard = shards_[static_cast<size_t>(s)];
+    const TablePtr& shard = shards_[static_cast<size_t>(s)].table;
     if (shard == nullptr) {
       return Status::Internal(StringFormat(
           "PartitionSet invariant violated: shard %d is null", s));

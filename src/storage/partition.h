@@ -9,7 +9,8 @@
 /// contiguous shard blocks, and a PartitionSet of resident, metadata-bearing
 /// shard tables partitioned once per run.
 ///
-/// Scatter contract (shared by HashPartition, ShardScatter, PartitionSet):
+/// Scatter contract (shared by PlanHashPartition, HashPartition,
+/// ShardScatter, PartitionSet):
 ///  - NULL keys deterministically land in partition/shard 0. The key
 ///    column's validity bitmap is consulted; the value slot of a NULL row
 ///    (which holds an unspecified placeholder) never reaches the hash.
@@ -43,9 +44,51 @@ inline int PartitionOf(int64_t key, int num_partitions) {
                           static_cast<uint64_t>(num_partitions));
 }
 
+/// \brief The row ids of one stable scatter (the contract above), computed
+/// once and gathered bucket by bucket on demand, plus — on the RLE fast
+/// path — the per-bucket key columns as runs, so the gather can rebuild
+/// them without the source key column ever being decoded.
+struct ScatterPlan {
+  std::vector<std::vector<int64_t>> indices;  // per bucket, ascending
+  std::vector<std::vector<RleRun>> key_runs;  // filled iff have_key_runs
+  bool have_key_runs = false;
+  std::vector<int> non_empty;  // buckets holding rows, ascending
+};
+
+/// \brief Plans the hash scatter of `table` into `num_partitions` buckets
+/// by PartitionOf over the int64 column `key_column`: one pass over the key
+/// column (one bucket decision per run of an RLE key), no row copied. Per
+/// bucket it costs only an empty-vector slot and one emptiness check, so a
+/// caller that gathers only `non_empty` does O(rows + non-empty buckets)
+/// real work. InvalidArgument when the key column is out of range or not
+/// INT64, or `num_partitions < 1`. Self-audited under VX_DCHECK
+/// (CheckHashPartitionPlan).
+Result<ScatterPlan> PlanHashPartition(const Table& table, int key_column,
+                                      int num_partitions);
+
+/// \brief Materializes bucket `b` of `plan` over the `table` it was planned
+/// from: its rows in input order, the key column rebuilt from runs (never
+/// decoded) on the RLE fast path. Consumes the bucket (its row ids and key
+/// runs are released), so each bucket is gathered at most once and the
+/// plan shrinks as its buckets are gathered; distinct buckets may be
+/// gathered concurrently.
+Table GatherPartition(const Table& table, int key_column, ScatterPlan* plan,
+                      int b);
+
+/// \brief Audit of a freshly planned hash scatter (the VX_DCHECK tier; see
+/// docs/DEVELOPING.md): every row lands in exactly one bucket, each
+/// bucket's row ids ascend, each row's bucket is PartitionOf(key) (NULL
+/// keys in bucket 0), `non_empty` lists exactly the non-empty buckets in
+/// ascending order, and rebuilt key runs cover exactly their bucket's rows.
+/// O(rows + buckets).
+Status CheckHashPartitionPlan(const Table& table, int key_column,
+                              int num_partitions, const ScatterPlan& plan);
+
 /// \brief Splits `table` into `num_partitions` tables by hashing the int64
-/// column `key_column`. Row order within a partition preserves input order;
-/// NULL keys go to partition 0 (see the scatter contract above).
+/// column `key_column`: every bucket of PlanHashPartition gathered, empty
+/// ones included. Row order within a partition preserves input order; NULL
+/// keys go to partition 0 (see the scatter contract above). Aborts on a bad
+/// key column or partition count; PlanHashPartition reports them instead.
 std::vector<Table> HashPartition(const Table& table, int key_column,
                                  int num_partitions);
 
@@ -124,7 +167,7 @@ class PartitionSet {
   int key_column() const { return key_column_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const TablePtr& shard(int s) const {
-    return shards_[static_cast<size_t>(s)];
+    return shards_[static_cast<size_t>(s)].table;
   }
 
   /// \brief Sum of rows across shards.
@@ -133,6 +176,14 @@ class PartitionSet {
   /// \brief Swaps in a new table for shard `s` (the vertex-update path; the
   /// caller is responsible for the rows still belonging to the shard).
   void ReplaceShard(int s, Table t);
+
+  /// \brief Write access to shard `s`, copy-on-write. A shard that anyone
+  /// else still holds (the snapshot a one-shard set was built over, a
+  /// version published to the catalog, any outstanding TablePtr) is first
+  /// replaced by a private copy; a shard the set alone owns is handed out
+  /// as is, so repeated writes copy at most once. The caller keeps every
+  /// row in the shard it belongs to, as for ReplaceShard.
+  Table* MutableShard(int s);
 
   /// \brief Deep structural audit (the VX_DCHECK tier; see
   /// docs/DEVELOPING.md). Verifies the spec itself (ShardingSpec::Validate),
@@ -145,9 +196,16 @@ class PartitionSet {
   Status CheckInvariants() const;
 
  private:
+  struct Shard {
+    TablePtr table;
+    /// The set's own writable table behind `table`, or nullptr when the
+    /// shard is a snapshot the set did not create.
+    Table* writable = nullptr;
+  };
+
   ShardingSpec spec_;
   int key_column_ = 0;
-  std::vector<TablePtr> shards_;
+  std::vector<Shard> shards_;
 };
 
 }  // namespace vertexica

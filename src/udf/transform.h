@@ -5,9 +5,9 @@
 /// function [that] runs as a database UDF". In Vertica these are transform
 /// functions invoked per partition of their input; this module reproduces
 /// that invocation contract: the engine hash-partitions the input on a key,
-/// optionally sorts each partition, and calls the UDF once per partition.
-/// UDF instances run in parallel across a thread pool ("as many workers as
-/// the number of cores").
+/// optionally sorts each partition, and calls the UDF once per non-empty
+/// partition. UDF instances run in parallel across a thread pool ("as many
+/// workers as the number of cores").
 
 #ifndef VERTEXICA_UDF_TRANSFORM_H_
 #define VERTEXICA_UDF_TRANSFORM_H_
@@ -83,6 +83,18 @@ TransformParallelism ResolveTransformParallelism(const TransformOptions& opts);
 
 /// \brief Runs a transform UDF over `input` partitioned by `partition_column`
 /// (an INT64 column index), returning the concatenated outputs.
+///
+/// One scatter pass (PlanHashPartition) records each partition's rows; then
+/// every non-empty partition is gathered, sorted and handed to a fresh UDF
+/// instance inside its pool task. Empty partitions are never materialized
+/// and get no instance, so the call costs O(rows + non-empty partitions),
+/// not O(num_partitions): a sparse superstep with a handful of rows pays
+/// for a handful of partitions. Outputs are concatenated in ascending
+/// partition order, whatever the scheduling. Instances created: one for
+/// output-schema discovery plus one per non-empty partition.
+///
+/// InvalidArgument when `partition_column` is out of range or not INT64, or
+/// a `sort_columns` index is out of range.
 ///
 /// Equivalent SQL: `SELECT udf(...) OVER (PARTITION BY key ORDER BY ...)`.
 Result<Table> ApplyTransform(const Table& input, int partition_column,

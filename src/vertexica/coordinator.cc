@@ -557,23 +557,23 @@ Result<Table> Coordinator::BuildJoinInputFrontier(
       std::make_shared<const Table>(std::move(active)), edge_side, message);
 }
 
-Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
-                                                 const Table& updates) const {
+Status Coordinator::UpdateVerticesInPlace(Table* vertex,
+                                          const Table& updates) const {
   const int va = program_->value_arity();
   // The vertex table is sorted by id for the whole run (see Run), so each
   // update finds its row by binary search over the id column: the scatter
   // costs O(updates · log V), with no per-superstep index over all ids.
-  VX_DCHECK(OrderedByColumn(vertex, "id"));
-  Table out = vertex;  // copy of the stored version; ids are shared below
-  VX_ASSIGN_OR_RETURN(int id_c, out.ColumnIndex("id"));
-  VX_ASSIGN_OR_RETURN(int halted_c, out.ColumnIndex("halted"));
-  const auto& ids = vertex.column(id_c).ints();
+  VX_DCHECK(OrderedByColumn(*vertex, "id"));
+  VX_ASSIGN_OR_RETURN(int id_c, vertex->ColumnIndex("id"));
+  VX_ASSIGN_OR_RETURN(int halted_c, vertex->ColumnIndex("halted"));
+  const auto& ids = vertex->column(id_c).ints();
 
-  auto& halted = *out.mutable_column(halted_c)->mutable_bools();
+  auto& halted = *vertex->mutable_column(halted_c)->mutable_bools();
   std::vector<std::vector<double>*> vcols(static_cast<size_t>(va));
   for (int i = 0; i < va; ++i) {
-    VX_ASSIGN_OR_RETURN(int c, out.ColumnIndex(StringFormat("v%d", i)));
-    vcols[static_cast<size_t>(i)] = out.mutable_column(c)->mutable_doubles();
+    VX_ASSIGN_OR_RETURN(int c, vertex->ColumnIndex(StringFormat("v%d", i)));
+    vcols[static_cast<size_t>(i)] =
+        vertex->mutable_column(c)->mutable_doubles();
   }
 
   VX_ASSIGN_OR_RETURN(int uid_c, updates.ColumnIndex("id"));
@@ -611,8 +611,8 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
   // ids, so the id order survives; re-declare it after the mutable_column
   // accesses above conservatively dropped it. (Only the id key is safe to
   // re-declare — the other columns are exactly the ones rewritten.)
-  out.SetSortOrder({{id_c, true}});
-  return out;
+  vertex->SetSortOrder({{id_c, true}});
+  return Status::OK();
 }
 
 Result<Table> Coordinator::CombineMessages(Table messages) const {
@@ -1041,14 +1041,20 @@ Status Coordinator::Run(RunStats* stats) {
               // The replace-path rebuild joins report into the shard's
               // collector, like the input-build joins above.
               ScopedJoinStatsCollector collector(&step[s].join_stats);
-              const auto& vs = vertex.shard(static_cast<int>(s));
-              Table new_vertex;
               if (!used_replace) {
-                VX_ASSIGN_OR_RETURN(
-                    new_vertex, UpdateVerticesInPlace(*vs, step[s].updates));
+                // Copy-on-write: the first in-place apply of a run copies
+                // the shard while the catalog still shares it (one-shard
+                // runs start from the catalog snapshot; a checkpoint
+                // publishes it again), so the catalog keeps the run's
+                // input or last checkpoint whatever fails later. Every
+                // other superstep writes the resident shard directly.
+                VX_RETURN_NOT_OK(UpdateVerticesInPlace(
+                    vertex.MutableShard(static_cast<int>(s)),
+                    step[s].updates));
               } else {
+                const auto& vs = vertex.shard(static_cast<int>(s));
                 VX_ASSIGN_OR_RETURN(
-                    new_vertex, RebuildVertices(*vs, step[s].updates));
+                    Table new_vertex, RebuildVertices(*vs, step[s].updates));
                 // The anti-join ∪ union rebuild breaks the sorted-by-id
                 // invariant (updated rows land at the tail); restore it on
                 // both input paths — the join path's merge joins and the
@@ -1062,8 +1068,9 @@ Status Coordinator::Run(RunStats* stats) {
                                       new_vertex.ColumnIndex("id"));
                   new_vertex = SortTable(new_vertex, {{id_c, true}});
                 }
+                vertex.ReplaceShard(static_cast<int>(s),
+                                    std::move(new_vertex));
               }
-              vertex.ReplaceShard(static_cast<int>(s), std::move(new_vertex));
             }
             return Status::OK();
           },

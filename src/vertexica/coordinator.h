@@ -221,11 +221,10 @@ class Coordinator {
   /// Applies the program's message combiner (when configured and enabled)
   /// over a message table; otherwise returns it unchanged.
   Result<Table> CombineMessages(Table messages) const;
-  /// In-place path of §2.3 "Update Vs Replace": copies the vertex columns
-  /// and scatters the updates, finding each update's row by binary search
-  /// over the id-sorted vertex table.
-  Result<Table> UpdateVerticesInPlace(const Table& vertex,
-                                      const Table& updates) const;
+  /// In-place path of §2.3 "Update Vs Replace": scatters the updates into
+  /// `vertex`, finding each update's row by binary search over the
+  /// id-sorted vertex table. O(updates · log V); no column is copied.
+  Status UpdateVerticesInPlace(Table* vertex, const Table& updates) const;
   /// Replace path: anti-join out updated ids, union the new rows.
   Result<Table> RebuildVertices(const Table& vertex,
                                 const Table& updates) const;

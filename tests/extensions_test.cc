@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -966,6 +967,96 @@ TEST(CoordinatorFaultTest, ExchangeFaultAbortsShardedRun) {
     ASSERT_TRUE(LoadGraphTables(&clean, g, program2).ok());
     Coordinator rerun(&clean, &program2, opts);
     EXPECT_TRUE(rerun.Run().ok());
+  }
+}
+
+/// Value- and bit-level table identity (Equals compares doubles by value).
+void ExpectTablesBitIdentical(const Table& got, const Table& want) {
+  ASSERT_TRUE(got.Equals(want));
+  for (int c = 0; c < want.num_columns(); ++c) {
+    if (want.column(c).type() != DataType::kDouble) continue;
+    const auto& g = got.column(c).doubles();
+    const auto& w = want.column(c).doubles();
+    ASSERT_EQ(g.size(), w.size());
+    EXPECT_EQ(std::memcmp(g.data(), w.data(), w.size() * sizeof(double)), 0)
+        << "column " << c;
+  }
+}
+
+/// Options for an SSSP run whose every apply takes the in-place path.
+VertexicaOptions InPlaceSsspOptions(int num_shards) {
+  VertexicaOptions opts;
+  opts.num_shards = num_shards;
+  opts.num_partitions = 8;
+  opts.update_threshold = 2.0;  // an update fraction never reaches 2
+  return opts;
+}
+
+TEST(CoordinatorFaultTest, InPlaceApplyNeverWritesTheCatalogsInput) {
+  // The in-place apply writes the resident vertex shard directly; a
+  // one-shard run starts from the catalog's own snapshot, so the first
+  // write must copy it. After a failure at superstep 2 the catalog still
+  // holds the run's input, bit for bit.
+  Graph g = GenerateRmat(80, 400, 99);
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE(num_shards);
+    Catalog cat;
+    ShortestPathProgram program(0);
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    const Table input = **cat.GetTable("vertex");
+
+    Coordinator interrupted(&cat, &program, InPlaceSsspOptions(num_shards));
+    RunStats stats;
+    ArmFault("coordinator.superstep", 3, FaultAction::kError);
+    const Status st = interrupted.Run(&stats);
+    DisarmAllFaults();
+    ASSERT_TRUE(st.IsAborted()) << st.ToString();
+    // Supersteps 0 and 1 ran, and their applies wrote vertices in place.
+    ASSERT_EQ(stats.supersteps.size(), 2u);
+    int64_t updates = 0;
+    for (const SuperstepStats& s : stats.supersteps) {
+      EXPECT_FALSE(s.used_replace);
+      updates += s.vertex_updates;
+    }
+    EXPECT_GT(stats.supersteps[1].vertex_updates, 0);
+    EXPECT_GT(updates, 0);
+    ExpectTablesBitIdentical(**cat.GetTable("vertex"), input);
+  }
+}
+
+TEST(CoordinatorFaultTest, InPlaceApplyNeverWritesThePublishedCheckpoint) {
+  // A checkpoint publishes the resident shard to the catalog; the next
+  // in-place apply must copy it again rather than write the published
+  // version. A failure after that apply leaves the checkpoint's state: the
+  // final state of a clean two-superstep run.
+  Graph g = GenerateRmat(80, 400, 99);
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE(num_shards);
+    Catalog two_steps;
+    ShortestPathProgram baseline_program(0);
+    ASSERT_TRUE(LoadGraphTables(&two_steps, g, baseline_program).ok());
+    VertexicaOptions short_opts = InPlaceSsspOptions(num_shards);
+    short_opts.max_supersteps = 2;
+    Coordinator baseline(&two_steps, &baseline_program, short_opts);
+    ASSERT_TRUE(baseline.Run().ok());
+    const Table expect = **two_steps.GetTable("vertex");
+
+    Catalog cat;
+    ShortestPathProgram program(0);
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    VertexicaOptions opts = InPlaceSsspOptions(num_shards);
+    opts.checkpoint_every = 2;  // after superstep 1
+    opts.checkpoint_dir = FreshCheckpointDir(
+        "vx_inplace_checkpoint_" + std::to_string(num_shards));
+    Coordinator interrupted(&cat, &program, opts);
+    RunStats stats;
+    ArmFault("coordinator.superstep", 4, FaultAction::kError);
+    const Status st = interrupted.Run(&stats);
+    DisarmAllFaults();
+    ASSERT_TRUE(st.IsAborted()) << st.ToString();
+    ASSERT_EQ(stats.supersteps.size(), 3u);
+    EXPECT_GT(stats.supersteps[2].vertex_updates, 0);
+    ExpectTablesBitIdentical(**cat.GetTable("vertex"), expect);
   }
 }
 

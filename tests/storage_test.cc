@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -862,6 +863,54 @@ TEST(PartitionTest, EncodedKeyWithNullsMatchesPlain) {
   for (size_t p = 0; p < plain_parts.size(); ++p) {
     EXPECT_TRUE(plain_parts[p].Equals(encoded_parts[p])) << "partition " << p;
   }
+}
+
+TEST(PartitionTest, PlanListsNonEmptyBucketsAndAuditCatchesBadPlans) {
+  const Table t = KeyedTable(200, /*with_nulls=*/true);
+  auto plan = PlanHashPartition(t, 0, 64);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<int> occupied;
+  const auto parts = HashPartition(t, 0, 64);
+  for (int b = 0; b < 64; ++b) {
+    if (parts[static_cast<size_t>(b)].num_rows() > 0) occupied.push_back(b);
+  }
+  EXPECT_EQ(plan->non_empty, occupied);
+  EXPECT_LT(occupied.size(), 64u);  // 17 keys + NULL leave buckets empty
+  ASSERT_TRUE(CheckHashPartitionPlan(t, 0, 64, *plan).ok());
+
+  const auto first = static_cast<size_t>(plan->non_empty[0]);
+  const auto second = static_cast<size_t>(plan->non_empty[1]);
+  {
+    ScatterPlan bad = *plan;  // a row moved to the wrong bucket
+    bad.indices[second].push_back(bad.indices[first].back());
+    bad.indices[first].pop_back();
+    std::sort(bad.indices[second].begin(), bad.indices[second].end());
+    EXPECT_TRUE(CheckHashPartitionPlan(t, 0, 64, bad).IsInternal());
+  }
+  {
+    ScatterPlan bad = *plan;  // a row in no bucket
+    bad.indices[first].pop_back();
+    if (bad.indices[first].empty()) bad.non_empty.erase(bad.non_empty.begin());
+    EXPECT_TRUE(CheckHashPartitionPlan(t, 0, 64, bad).IsInternal());
+  }
+  {
+    ScatterPlan bad = *plan;  // a bucket out of input order
+    ASSERT_GE(bad.indices[first].size(), 2u);
+    std::swap(bad.indices[first].front(), bad.indices[first].back());
+    EXPECT_TRUE(CheckHashPartitionPlan(t, 0, 64, bad).IsInternal());
+  }
+  {
+    ScatterPlan bad = *plan;  // a stale non-empty list
+    bad.non_empty.pop_back();
+    EXPECT_TRUE(CheckHashPartitionPlan(t, 0, 64, bad).IsInternal());
+  }
+
+  // Bad arguments come back as InvalidArgument, never an abort.
+  EXPECT_TRUE(PlanHashPartition(t, 2, 4).status().IsInvalidArgument());
+  EXPECT_TRUE(PlanHashPartition(t, 0, 0).status().IsInvalidArgument());
+  Table doubles(Schema({{"key", DataType::kDouble}}));
+  VX_CHECK_OK(doubles.AppendRow({Value(0.5)}));
+  EXPECT_TRUE(PlanHashPartition(doubles, 0, 4).status().IsInvalidArgument());
 }
 
 TEST(PartitionTest, OrderPreservedWithinPartition) {

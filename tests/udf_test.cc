@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <set>
 
+#include "common/random.h"
+#include "exec/exec_knobs.h"
+#include "storage/partition.h"
+#include "storage/sort.h"
 #include "udf/stored_procedure.h"
 #include "udf/transform.h"
 
@@ -104,6 +110,28 @@ TEST(TransformTest, BadPartitionColumnFails) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+TEST(TransformTest, NonInt64PartitionColumnFails) {
+  // A DOUBLE key is a caller error: InvalidArgument, not an abort.
+  Table in(Schema({{"key", DataType::kDouble}, {"v", DataType::kInt64}}));
+  VX_CHECK_OK(in.AppendRow({Value(1.5), Value(int64_t{2})}));
+  auto result = ApplyTransform(
+      in, 0, [] { return std::make_unique<PerKeySumUdf>(); }, {});
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+}
+
+TEST(TransformTest, OutOfRangeSortColumnFails) {
+  Table in = KeyValueTable(4, 2);
+  for (const int bad : {2, -1}) {
+    TransformOptions opts;
+    opts.sort_columns = {0, bad};
+    auto result = ApplyTransform(
+        in, 0, [] { return std::make_unique<PerKeySumUdf>(); }, opts);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << bad << ": " << result.status().ToString();
+  }
+}
+
 /// UDF that records how many instances were created (lifecycle check).
 class CountingUdf : public TransformUdf {
  public:
@@ -123,22 +151,153 @@ class CountingUdf : public TransformUdf {
 };
 std::atomic<int> CountingUdf::instances{0};
 
-TEST(TransformTest, OneInstancePerNonEmptyPartition) {
-  Table in = KeyValueTable(64, 1);
-  CountingUdf::instances = 0;
-  TransformOptions opts;
-  opts.num_partitions = 8;
-  auto result = ApplyTransform(
-      in, 0, [] { return std::make_unique<CountingUdf>(); }, opts);
-  ASSERT_TRUE(result.ok());
-  // One throwaway instance for schema discovery + one per non-empty
-  // partition (with 64 spread keys, all 8 partitions are non-empty whp).
-  EXPECT_GE(CountingUdf::instances.load(), 2);
-  int64_t total = 0;
-  for (int64_t i = 0; i < result->num_rows(); ++i) {
-    total += result->column(0).GetInt64(i);
+/// Distinct PartitionOf buckets over keys [0, num_keys).
+int DistinctBuckets(int64_t num_keys, int num_partitions) {
+  std::set<int> buckets;
+  for (int64_t k = 0; k < num_keys; ++k) {
+    buckets.insert(PartitionOf(k, num_partitions));
   }
-  EXPECT_EQ(total, 64);
+  return static_cast<int>(buckets.size());
+}
+
+TEST(TransformTest, OneInstancePerNonEmptyPartition) {
+  for (const int64_t num_keys : {64, 3}) {
+    SCOPED_TRACE(num_keys);
+    Table in = KeyValueTable(num_keys, 1);
+    CountingUdf::instances = 0;
+    TransformOptions opts;
+    opts.num_partitions = 8;
+    auto result = ApplyTransform(
+        in, 0, [] { return std::make_unique<CountingUdf>(); }, opts);
+    ASSERT_TRUE(result.ok());
+    // One throwaway instance for schema discovery + exactly one per
+    // non-empty partition; empty partitions never see an instance.
+    EXPECT_EQ(CountingUdf::instances.load(),
+              1 + DistinctBuckets(num_keys, opts.num_partitions));
+    EXPECT_EQ(result->num_rows(),
+              DistinctBuckets(num_keys, opts.num_partitions));
+    int64_t total = 0;
+    for (int64_t i = 0; i < result->num_rows(); ++i) {
+      total += result->column(0).GetInt64(i);
+    }
+    EXPECT_EQ(total, num_keys);
+  }
+}
+
+TEST(TransformTest, ManyPartitionsFewKeysMatchesPerKeyReference) {
+  // 4,096 partitions over 3 keys: only the occupied partitions are
+  // gathered and run, and the per-key sums match the reference.
+  Table in = KeyValueTable(3, 5);
+  TransformOptions opts;
+  opts.num_partitions = 4096;
+  opts.sort_columns = {0};
+  CountingUdf::instances = 0;
+  auto counted = ApplyTransform(
+      in, 0, [] { return std::make_unique<CountingUdf>(); }, opts);
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  EXPECT_EQ(CountingUdf::instances.load(),
+            1 + DistinctBuckets(3, opts.num_partitions));
+
+  auto result = ApplyTransform(
+      in, 0, [] { return std::make_unique<PerKeySumUdf>(); }, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 3);
+  std::set<int64_t> keys;
+  for (int64_t i = 0; i < result->num_rows(); ++i) {
+    const int64_t k = result->column(0).GetInt64(i);
+    keys.insert(k);
+    EXPECT_EQ(result->column(1).GetInt64(i), 5 * k + 10);  // k + ... + k+4
+  }
+  EXPECT_EQ(keys, (std::set<int64_t>{0, 1, 2}));
+}
+
+/// Emits its (sorted) partition unchanged, so ApplyTransform's output is
+/// exactly the concatenation of the partitions the UDF saw.
+class EchoUdf : public TransformUdf {
+ public:
+  explicit EchoUdf(Schema schema) : schema_(std::move(schema)) {}
+  const Schema& output_schema() const override { return schema_; }
+  Status ProcessPartition(
+      const Table& partition,
+      const std::function<Status(Table)>& emit) override {
+    return emit(partition);
+  }
+
+ private:
+  Schema schema_;
+};
+
+/// Seeded (key, v, w) rows: keys drawn from [0, distinct) in runs of up to
+/// four equal keys, about one key in eight NULL.
+Table RandomKeyedTable(uint64_t seed, int64_t rows, int64_t distinct) {
+  Rng rng(seed);
+  Table t(Schema({{"key", DataType::kInt64},
+                  {"v", DataType::kInt64},
+                  {"w", DataType::kDouble}}));
+  int64_t key = 0;
+  for (int64_t i = 0; i < rows; ++i) {
+    if (i == 0 || rng.Bernoulli(0.3)) {
+      key = rng.UniformRange(0, distinct - 1);
+    }
+    const Value k = rng.Bernoulli(0.125) ? Value::Null() : Value(key);
+    VX_CHECK_OK(t.AppendRow({k, Value(i), Value(rng.NextDouble())}));
+  }
+  return t;
+}
+
+/// The pre-scatter-plan formulation: every partition materialized, each
+/// sorted, concatenated in partition order.
+Table ReferenceTransform(const Table& in, int num_partitions,
+                         const std::vector<SortKey>& keys) {
+  Table out(in.schema());
+  for (const Table& part : HashPartition(in, 0, num_partitions)) {
+    VX_CHECK_OK(out.Append(keys.empty() ? part : SortTable(part, keys)));
+  }
+  return out;
+}
+
+TEST(TransformTest, MatchesPartitionSortConcatReference) {
+  for (const uint64_t seed : {1u, 7u, 4242u}) {
+    for (const bool rle_key : {false, true}) {
+      for (const int threads : {1, 8}) {
+        for (const int num_partitions : {1, 5, 64}) {
+          for (const bool sorted : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " rle " << rle_key
+                         << " threads " << threads << " partitions "
+                         << num_partitions << " sorted " << sorted);
+            Table in = RandomKeyedTable(seed, 500, seed == 7u ? 3 : 60);
+            if (rle_key) {
+              ASSERT_TRUE(in.mutable_column(0)->Encode(EncodingMode::kForce));
+              ASSERT_TRUE(in.column(0).rle_runs() != nullptr);
+            }
+            std::vector<SortKey> keys;
+            if (sorted) keys = {{0, true}};
+            const Table expect = ReferenceTransform(in, num_partitions, keys);
+
+            ScopedExecThreads scoped(threads);
+            TransformOptions opts;
+            opts.num_partitions = num_partitions;
+            opts.num_workers = threads;
+            if (sorted) opts.sort_columns = {0};
+            const Schema schema = in.schema();
+            auto got = ApplyTransform(
+                in, 0, [&schema] { return std::make_unique<EchoUdf>(schema); },
+                opts);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_TRUE(got->Equals(expect));
+            // Bit-level check of the payload (Equals compares values).
+            const auto& gw = got->column(2).doubles();
+            const auto& ew = expect.column(2).doubles();
+            ASSERT_EQ(gw.size(), ew.size());
+            EXPECT_EQ(std::memcmp(gw.data(), ew.data(),
+                                  gw.size() * sizeof(double)),
+                      0);
+          }
+        }
+      }
+    }
+  }
 }
 
 /// UDF returning an error: must propagate.
