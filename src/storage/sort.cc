@@ -44,16 +44,23 @@ std::vector<int64_t> SortIndices(const Table& table,
       }
       return indices;
     }
-    const auto& v = table.column(keys[0].column).ints();
-    std::stable_sort(indices.begin(), indices.end(),
-                     [&v](int64_t a, int64_t b) {
-                       return v[static_cast<size_t>(a)] <
-                              v[static_cast<size_t>(b)];
-                     });
-    return indices;
   }
+  StableSortRows(table, keys, &indices);
+  return indices;
+}
 
-  std::stable_sort(indices.begin(), indices.end(),
+void StableSortRows(const Table& table, const std::vector<SortKey>& keys,
+                    std::vector<int64_t>* rows) {
+  if (keys.size() == 1 && keys[0].ascending &&
+      table.column(keys[0].column).type() == DataType::kInt64 &&
+      table.column(keys[0].column).null_count() == 0) {
+    const auto& v = table.column(keys[0].column).ints();
+    std::stable_sort(rows->begin(), rows->end(), [&v](int64_t a, int64_t b) {
+      return v[static_cast<size_t>(a)] < v[static_cast<size_t>(b)];
+    });
+    return;
+  }
+  std::stable_sort(rows->begin(), rows->end(),
                    [&table, &keys](int64_t a, int64_t b) {
                      for (const SortKey& k : keys) {
                        const Column& col = table.column(k.column);
@@ -63,7 +70,6 @@ std::vector<int64_t> SortIndices(const Table& table,
                      }
                      return false;
                    });
-  return indices;
 }
 
 Table SortTable(const Table& table, const std::vector<SortKey>& keys) {

@@ -22,6 +22,11 @@ namespace vertexica {
 std::vector<int64_t> SortIndices(const Table& table,
                                  const std::vector<SortKey>& keys);
 
+/// \brief Stable-sorts the row ids `rows` of `table` by `keys` (the same
+/// order SortIndices produces, over any subset of rows).
+void StableSortRows(const Table& table, const std::vector<SortKey>& keys,
+                    std::vector<int64_t>* rows);
+
 /// \brief Returns a new table sorted by `keys`, with its sort-order
 /// property (Table::sort_order) declared accordingly.
 Table SortTable(const Table& table, const std::vector<SortKey>& keys);

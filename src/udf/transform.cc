@@ -2,11 +2,202 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
 #include "exec/parallel.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
 
 namespace vertexica {
+
+namespace {
+
+Status ValidateColumns(const Table& table, int partition_column,
+                       const std::vector<int>& sort_columns,
+                       std::vector<SortKey>* keys) {
+  if (partition_column < 0 || partition_column >= table.num_columns()) {
+    return Status::InvalidArgument("ApplyTransform: bad partition column");
+  }
+  for (int c : sort_columns) {
+    if (c < 0 || c >= table.num_columns()) {
+      return Status::InvalidArgument("ApplyTransform: bad sort column");
+    }
+    keys->push_back(SortKey{c, true});
+  }
+  return Status::OK();
+}
+
+/// The cheap half of the resident contract, checked on every call: the
+/// section must have been built for this input's schema and these options.
+Status ValidateResident(const ResidentPartitions& resident, const Table& input,
+                        int partition_column, const TransformOptions& options,
+                        int num_partitions) {
+  if (!resident.rows.schema().Equals(input.schema()) ||
+      resident.partition_column != partition_column ||
+      resident.sort_columns != options.sort_columns) {
+    return Status::InvalidArgument(
+        "ApplyTransform: resident section built for another schema, "
+        "partition column or sort columns");
+  }
+  const std::vector<int64_t>& off = resident.offsets;
+  if (resident.num_partitions() != num_partitions || off.front() != 0 ||
+      off.back() != resident.rows.num_rows() ||
+      !std::is_sorted(off.begin(), off.end())) {
+    return Status::InvalidArgument(StringFormat(
+        "ApplyTransform: resident layout has %zu offsets for %d partitions "
+        "or its ranges do not ascend from 0 to its %lld rows",
+        off.size(), num_partitions,
+        static_cast<long long>(resident.rows.num_rows())));
+  }
+  return Status::OK();
+}
+
+/// Three-way comparison of row `i` of `a` with row `j` of `b` on `keys`
+/// (all ascending, the CompareRows total order).
+int CompareOnKeys(const Table& a, int64_t i, const Table& b, int64_t j,
+                  const std::vector<SortKey>& keys) {
+  for (const SortKey& k : keys) {
+    const int cmp = a.column(k.column).CompareRows(i, b.column(k.column), j);
+    if (cmp != 0) return cmp;
+  }
+  return 0;
+}
+
+/// A stretch of consecutive rows taken from one side of a merge.
+struct MergeRun {
+  const Table* source;
+  int64_t begin;
+  int64_t length;
+};
+
+template <typename T, typename Values>
+std::vector<T> ConcatRuns(const std::vector<MergeRun>& runs, int64_t rows,
+                          const Values& values) {
+  std::vector<T> out;
+  out.reserve(static_cast<size_t>(rows));
+  for (const MergeRun& run : runs) {
+    const auto& src = values(*run.source);
+    const auto first = src.begin() + run.begin;
+    out.insert(out.end(), first, first + run.length);
+  }
+  return out;
+}
+
+/// Column `c` of the merged partition: the runs' rows, in run order.
+Column GatherRuns(const std::vector<MergeRun>& runs, int c, DataType type,
+                  int64_t rows) {
+  bool valid = true;
+  for (const MergeRun& run : runs) {
+    valid = valid && run.source->column(c).null_count() == 0;
+  }
+  if (valid) {
+    switch (type) {
+      case DataType::kInt64:
+        return Column::FromInts(ConcatRuns<int64_t>(
+            runs, rows, [c](const Table& t) -> const std::vector<int64_t>& {
+              return t.column(c).ints();
+            }));
+      case DataType::kDouble:
+        return Column::FromDoubles(ConcatRuns<double>(
+            runs, rows, [c](const Table& t) -> const std::vector<double>& {
+              return t.column(c).doubles();
+            }));
+      case DataType::kString:
+        return Column::FromStrings(ConcatRuns<std::string>(
+            runs, rows,
+            [c](const Table& t) -> const std::vector<std::string>& {
+              return t.column(c).strings();
+            }));
+      case DataType::kBool:
+        return Column::FromBools(ConcatRuns<uint8_t>(
+            runs, rows, [c](const Table& t) -> const std::vector<uint8_t>& {
+              return t.column(c).bools();
+            }));
+    }
+  }
+  Column out(type);
+  out.Reserve(rows);
+  for (const MergeRun& run : runs) {
+    const Column& src = run.source->column(c);
+    for (int64_t r = run.begin; r < run.begin + run.length; ++r) {
+      out.AppendValue(src.GetValue(r));
+    }
+  }
+  return out;
+}
+
+/// Stable merge of one sorted input partition with resident partition `p`:
+/// a resident row goes first only when it sorts strictly before the input
+/// row, so ties keep input rows ahead of resident rows. The input is the
+/// short side (vertex and message rows), so each step binary-searches the
+/// resident range and copies whole runs.
+Table MergeWithResident(Table part, const ResidentPartitions& resident,
+                        int p, const std::vector<SortKey>& keys) {
+  const Table& res = resident.rows;
+  const int64_t begin = resident.offsets[static_cast<size_t>(p)];
+  const int64_t end = resident.offsets[static_cast<size_t>(p) + 1];
+  if (begin == end) return part;
+  Table merged;
+  if (part.num_rows() == 0) {
+    merged = res.Slice(begin, end - begin);
+  } else {
+    std::vector<MergeRun> runs;
+    if (keys.empty()) {
+      runs = {{&part, 0, part.num_rows()}, {&res, begin, end - begin}};
+    } else {
+      const Column& pk = part.column(keys[0].column);
+      const Column& rk = res.column(keys[0].column);
+      const bool int_key = keys.size() == 1 &&
+                           pk.type() == DataType::kInt64 &&
+                           pk.null_count() == 0 && rk.null_count() == 0;
+      const std::vector<int64_t>* pv = int_key ? &pk.ints() : nullptr;
+      const std::vector<int64_t>* rv = int_key ? &rk.ints() : nullptr;
+      // True when resident row j sorts strictly before input row i.
+      const auto resident_first = [&](int64_t j, int64_t i) {
+        if (int_key) {
+          return (*rv)[static_cast<size_t>(j)] < (*pv)[static_cast<size_t>(i)];
+        }
+        return CompareOnKeys(res, j, part, i, keys) < 0;
+      };
+      const int64_t n = part.num_rows();
+      int64_t j = begin;
+      int64_t i = 0;
+      while (i < n) {
+        // Resident rows before input row i: binary search in [j, end).
+        int64_t lo = j;
+        int64_t hi = end;
+        while (lo < hi) {
+          const int64_t mid = lo + (hi - lo) / 2;
+          if (resident_first(mid, i)) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
+          }
+        }
+        if (lo > j) runs.push_back({&res, j, lo - j});
+        j = lo;
+        // Input rows up to the next resident row.
+        int64_t k = i + 1;
+        while (k < n && (j == end || !resident_first(j, k))) ++k;
+        runs.push_back({&part, i, k - i});
+        i = k;
+      }
+      if (j < end) runs.push_back({&res, j, end - j});
+    }
+    const int64_t rows = part.num_rows() + (end - begin);
+    std::vector<Column> columns;
+    columns.reserve(static_cast<size_t>(res.num_columns()));
+    for (int c = 0; c < res.num_columns(); ++c) {
+      columns.push_back(GatherRuns(runs, c, res.schema().field(c).type, rows));
+    }
+    auto made = Table::Make(res.schema(), std::move(columns));
+    VX_CHECK(made.ok()) << made.status().ToString();
+    merged = std::move(made).MoveValueUnsafe();
+  }
+  if (!keys.empty()) merged.SetSortOrder(keys);
+  return merged;
+}
+
+}  // namespace
 
 TransformParallelism ResolveTransformParallelism(const TransformOptions& opts) {
   TransformParallelism out;
@@ -18,43 +209,126 @@ TransformParallelism ResolveTransformParallelism(const TransformOptions& opts) {
   return out;
 }
 
-Result<Table> ApplyTransform(const Table& input, int partition_column,
-                             const TransformUdfFactory& factory,
-                             const TransformOptions& options) {
-  if (partition_column < 0 || partition_column >= input.num_columns()) {
-    return Status::InvalidArgument("ApplyTransform: bad partition column");
+Result<ResidentPartitions> BuildResidentPartitions(
+    const Table& table, int partition_column, const TransformOptions& options) {
+  std::vector<SortKey> keys;
+  VX_RETURN_NOT_OK(
+      ValidateColumns(table, partition_column, options.sort_columns, &keys));
+  const int partitions = ResolveTransformParallelism(options).partitions;
+  VX_ASSIGN_OR_RETURN(ScatterPlan plan,
+                      PlanHashPartition(table, partition_column, partitions));
+  ResidentPartitions out;
+  out.partition_column = partition_column;
+  out.sort_columns = options.sort_columns;
+  out.offsets.reserve(static_cast<size_t>(partitions) + 1);
+  std::vector<int64_t> order;
+  order.reserve(static_cast<size_t>(table.num_rows()));
+  for (std::vector<int64_t>& bucket : plan.indices) {
+    out.offsets.push_back(static_cast<int64_t>(order.size()));
+    if (!keys.empty()) StableSortRows(table, keys, &bucket);
+    order.insert(order.end(), bucket.begin(), bucket.end());
+  }
+  out.offsets.push_back(static_cast<int64_t>(order.size()));
+  // One gather into one contiguous table: a per-partition table each would
+  // hold 64 partitions x columns of mid-sized blocks for the whole run.
+  out.rows = table.Take(order);
+  VX_DCHECK_OK(CheckResidentPartitions(out));
+  return out;
+}
+
+Status CheckResidentPartitions(const ResidentPartitions& resident) {
+  const Table& rows = resident.rows;
+  const std::vector<int64_t>& off = resident.offsets;
+  const auto fail = [](const std::string& what) {
+    return Status::Internal("resident layout invariant violated: " + what);
+  };
+  if (off.size() < 2 || off.front() != 0 || off.back() != rows.num_rows()) {
+    return fail("ranges do not cover the rows from 0");
+  }
+  const int pc = resident.partition_column;
+  if (pc < 0 || pc >= rows.num_columns() ||
+      rows.column(pc).type() != DataType::kInt64) {
+    return fail("partition column is not an INT64 column");
   }
   std::vector<SortKey> keys;
-  for (int c : options.sort_columns) {
-    if (c < 0 || c >= input.num_columns()) {
-      return Status::InvalidArgument("ApplyTransform: bad sort column");
-    }
+  for (int c : resident.sort_columns) {
+    if (c < 0 || c >= rows.num_columns()) return fail("bad sort column");
     keys.push_back(SortKey{c, true});
   }
+  const Column& key = rows.column(pc);
+  const int partitions = resident.num_partitions();
+  for (int p = 0; p < partitions; ++p) {
+    const int64_t b = off[static_cast<size_t>(p)];
+    const int64_t e = off[static_cast<size_t>(p) + 1];
+    if (e < b) {
+      return fail(StringFormat("range %d descends", p));
+    }
+    for (int64_t r = b; r < e; ++r) {
+      const int want =
+          key.IsNull(r) ? 0 : PartitionOf(key.GetInt64(r), partitions);
+      if (want != p) {
+        return fail(StringFormat(
+            "row %lld sits in range %d but belongs to partition %d",
+            static_cast<long long>(r), p, want));
+      }
+      if (r > b && CompareOnKeys(rows, r - 1, rows, r, keys) > 0) {
+        return fail(StringFormat("range %d is not sorted at row %lld", p,
+                                 static_cast<long long>(r)));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Result<Table> ApplyTransform(const Table& input, int partition_column,
+                             const TransformUdfFactory& factory,
+                             const TransformOptions& options,
+                             const ResidentPartitions* resident) {
+  std::vector<SortKey> keys;
+  VX_RETURN_NOT_OK(
+      ValidateColumns(input, partition_column, options.sort_columns, &keys));
   const TransformParallelism par = ResolveTransformParallelism(options);
+  if (resident != nullptr) {
+    VX_RETURN_NOT_OK(ValidateResident(*resident, input, partition_column,
+                                      options, par.partitions));
+  }
 
   // One scatter pass records each partition's rows; only the non-empty
   // partitions are ever gathered, sorted (the §2.3 "each partition is
   // sorted on vertex id" step) or handed to a UDF instance, so a sparse
-  // superstep pays nothing for the empty ones.
+  // superstep pays nothing for the empty ones. A resident section adds the
+  // partitions that are non-empty on its side.
   VX_ASSIGN_OR_RETURN(
       ScatterPlan plan,
       PlanHashPartition(input, partition_column, par.partitions));
-  const std::vector<int>& live = plan.non_empty;
+  std::vector<int> live;
+  if (resident == nullptr) {
+    live = std::move(plan.non_empty);
+  } else {
+    for (int p = 0; p < par.partitions; ++p) {
+      const auto pz = static_cast<size_t>(p);
+      if (!plan.indices[pz].empty() ||
+          resident->offsets[pz] < resident->offsets[pz + 1]) {
+        live.push_back(p);
+      }
+    }
+  }
 
   // Discover the output schema from a throwaway instance.
   const Schema out_schema = factory()->output_schema();
 
-  // One output slot per non-empty partition, concatenated in ascending
+  // One output slot per live partition, concatenated in ascending
   // partition order, so emission order is deterministic regardless of
   // scheduling.
   std::vector<Table> outputs(live.size(), Table(out_schema));
   // Each gathered partition stays alive until the call returns, and only
-  // its sorted copy is freed per partition: the heap pattern of gathering
-  // every partition up front. Freeing each gathered partition right after
-  // its sort nearly doubled the minor page faults of vxbench pr-dense (to
-  // 2.2M in an 8 s run, 4-core box, threads = 1) and slowed its vertexica
-  // PageRank by about 20%; see ROADMAP item 1 on that heap sensitivity.
+  // its sorted (or merged) copy is freed per partition: the heap pattern
+  // of gathering every partition up front. When a dense superstep's whole
+  // V+E+M union still went through the scatter (vxbench pr-dense, 8 s run,
+  // 4-core box, threads = 1), freeing each gathered partition right after
+  // its sort nearly doubled the run's minor page faults (to 2.2M) and
+  // slowed its PageRank by about 20%; see ROADMAP item 1 on that heap
+  // sensitivity.
   std::vector<Table> gathered(live.size());
 
   // Propagate the caller's ambient thread budget into the pool tasks so a
@@ -69,6 +343,10 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
           part = GatherPartition(input, partition_column, &plan, live[i]);
           Table partition =
               keys.empty() ? std::move(part) : SortTable(part, keys);
+          if (resident != nullptr) {
+            partition = MergeWithResident(std::move(partition), *resident,
+                                          live[i], keys);
+          }
           auto udf = factory();
           Table& out = outputs[i];
           VX_RETURN_NOT_OK(udf->ProcessPartition(

@@ -81,6 +81,40 @@ struct TransformParallelism {
 };
 TransformParallelism ResolveTransformParallelism(const TransformOptions& opts);
 
+/// \brief A table laid out once in the per-partition form ApplyTransform
+/// hands to UDF instances, so a caller that feeds the same rows to many
+/// calls (the coordinator's edge section, identical every superstep) pays
+/// the scatter and sort once instead of per call.
+///
+/// `rows` is one contiguous table: the hash scatter of the source table on
+/// `partition_column` (PlanHashPartition), partitions in ascending order,
+/// each partition stable-sorted on `sort_columns`. Partition p holds rows
+/// [offsets[p], offsets[p + 1]); `offsets` has num_partitions + 1 entries.
+struct ResidentPartitions {
+  Table rows;
+  std::vector<int64_t> offsets;
+  int partition_column = 0;
+  std::vector<int> sort_columns;
+
+  int num_partitions() const {
+    return static_cast<int>(offsets.size()) - 1;
+  }
+};
+
+/// \brief Lays `table` out as a ResidentPartitions for `options` (its
+/// resolved partition count and sort columns). One scatter plan, one stable
+/// sort of each partition's row ids, one gather. InvalidArgument for the
+/// inputs ApplyTransform rejects. Self-audited under VX_DCHECK
+/// (CheckResidentPartitions).
+Result<ResidentPartitions> BuildResidentPartitions(
+    const Table& table, int partition_column, const TransformOptions& options);
+
+/// \brief Structural audit of a resident layout (the VX_DCHECK tier; see
+/// docs/DEVELOPING.md): the ranges start at 0, ascend and cover every row;
+/// every row's partition is PartitionOf(key) of its range (NULL keys in 0);
+/// each range is sorted on `sort_columns`. O(rows).
+Status CheckResidentPartitions(const ResidentPartitions& resident);
+
 /// \brief Runs a transform UDF over `input` partitioned by `partition_column`
 /// (an INT64 column index), returning the concatenated outputs.
 ///
@@ -93,13 +127,24 @@ TransformParallelism ResolveTransformParallelism(const TransformOptions& opts);
 /// partition order, whatever the scheduling. Instances created: one for
 /// output-schema discovery plus one per non-empty partition.
 ///
-/// InvalidArgument when `partition_column` is out of range or not INT64, or
-/// a `sort_columns` index is out of range.
+/// With `resident`, the UDF sees the rows of `input` and of the resident
+/// section together: each partition of `input` is gathered and sorted as
+/// above, then stably merged with the resident range of the same partition
+/// (a partition non-empty on either side gets an instance). Ties on the
+/// sort columns put `input` rows before resident rows, so the call equals
+/// ApplyTransform over the concatenation (input, then the table the
+/// section was built from) — only `input` is scattered and sorted.
+///
+/// InvalidArgument when `partition_column` is out of range or not INT64, a
+/// `sort_columns` index is out of range, or `resident` does not match: a
+/// different schema, partition column, sort columns or partition count, or
+/// ranges that do not ascend from 0 to its row count.
 ///
 /// Equivalent SQL: `SELECT udf(...) OVER (PARTITION BY key ORDER BY ...)`.
 Result<Table> ApplyTransform(const Table& input, int partition_column,
                              const TransformUdfFactory& factory,
-                             const TransformOptions& options = {});
+                             const TransformOptions& options = {},
+                             const ResidentPartitions* resident = nullptr);
 
 }  // namespace vertexica
 

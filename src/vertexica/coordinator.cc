@@ -213,6 +213,22 @@ bool ComputeFrontier(const Table& vertex, const Table& message,
   return true;
 }
 
+/// Projection of an edge table onto the union schema (§2.3 "Table
+/// Unions"): (id = src, kind = edge, other = dst, halted = false,
+/// p0 = weight, p1.. = 0).
+std::vector<ProjectionSpec> EdgeUnionProjection(int arity) {
+  std::vector<ProjectionSpec> proj = {
+      {"id", Col("src")},
+      {"kind", Lit(static_cast<int64_t>(kEdgeTuple))},
+      {"other", Col("dst")},
+      {"halted", Lit(false)}};
+  for (int i = 0; i < arity; ++i) {
+    proj.push_back({StringFormat("p%d", i),
+                    i == 0 ? Col("weight") : Lit(0.0)});
+  }
+  return proj;
+}
+
 /// Fused-split projection of the worker output onto vertex updates:
 /// (id, halted, v0..v{va-1}).
 std::vector<ProjectionSpec> UpdateProjection(int va) {
@@ -321,15 +337,18 @@ AggOp CombinerToAggOp(MessageCombiner c) {
 
 /// Per-shard edge structures, derived from the resident edge shard the
 /// first superstep that needs them and kept for the run. `join_side` is the
-/// join-input path's (esrc, edst, eweight, edge_seq) side; `csr` is the
-/// per-source-vertex row-slice index of the union-path frontier gathers (a
-/// dense run never builds it), and `csr_failed` remembers an unbuildable
-/// layout so it is probed once, not every superstep. Race-free without
-/// locks: a shard's slot is touched only by the one ParallelFor task that
-/// owns that shard in a superstep, and cross-superstep visibility rides the
-/// pool's submit/join synchronization.
+/// join-input path's (esrc, edst, eweight, edge_seq) side; `union_edges` is
+/// the union path's edge section in worker-input form (projected to the
+/// union schema, scattered and sorted once; dense supersteps merge it into
+/// each partition); `csr` is the per-source-vertex row-slice index of the
+/// union-path frontier gathers (a dense run never builds it), and
+/// `csr_failed` remembers an unbuildable layout so it is probed once, not
+/// every superstep. Race-free without locks: a shard's slot is touched only
+/// by the one ParallelFor task that owns that shard in a superstep, and
+/// cross-superstep visibility rides the pool's submit/join synchronization.
 struct EdgeShard {
   std::shared_ptr<const Table> join_side;
+  std::shared_ptr<const ResidentPartitions> union_edges;
   std::shared_ptr<const CsrIndex> csr;
   bool csr_failed = false;
 };
@@ -423,15 +442,6 @@ Result<Table> Coordinator::BuildUnionInput(const TablePtr& vertex,
     vproj.push_back({StringFormat("p%d", i),
                      i < va ? Col(StringFormat("v%d", i)) : Lit(0.0)});
   }
-  std::vector<ProjectionSpec> eproj = {
-      {"id", Col("src")},
-      {"kind", Lit(static_cast<int64_t>(kEdgeTuple))},
-      {"other", Col("dst")},
-      {"halted", Lit(false)}};
-  for (int i = 0; i < arity; ++i) {
-    eproj.push_back({StringFormat("p%d", i),
-                     i == 0 ? Col("weight") : Lit(0.0)});
-  }
   std::vector<ProjectionSpec> mproj = {
       {"id", Col("dst")},
       {"kind", Lit(static_cast<int64_t>(kMessageTuple))},
@@ -443,11 +453,25 @@ Result<Table> Coordinator::BuildUnionInput(const TablePtr& vertex,
   }
 
   VX_ASSIGN_OR_RETURN(Table input, ParallelProject(vertex, vproj));
-  VX_ASSIGN_OR_RETURN(Table edge_part, ParallelProject(edge, eproj));
+  if (edge != nullptr) {
+    VX_ASSIGN_OR_RETURN(Table edge_part,
+                        ParallelProject(edge, EdgeUnionProjection(arity)));
+    VX_RETURN_NOT_OK(input.Append(edge_part));
+  }
   VX_ASSIGN_OR_RETURN(Table msg_part, ParallelProject(message, mproj));
-  VX_RETURN_NOT_OK(input.Append(edge_part));
   VX_RETURN_NOT_OK(input.Append(msg_part));
   return input;
+}
+
+Result<std::shared_ptr<const ResidentPartitions>>
+Coordinator::BuildResidentEdges(const TablePtr& edge,
+                                const TransformOptions& topts) const {
+  VX_ASSIGN_OR_RETURN(
+      Table edges,
+      ParallelProject(edge, EdgeUnionProjection(PayloadArity(*program_))));
+  VX_ASSIGN_OR_RETURN(ResidentPartitions resident,
+                      BuildResidentPartitions(edges, 0, topts));
+  return std::make_shared<const ResidentPartitions>(std::move(resident));
 }
 
 Result<Coordinator::TablePtr> Coordinator::BuildEdgeJoinSide(
@@ -832,6 +856,8 @@ Status Coordinator::Run(RunStats* stats) {
     // ---- Per-shard dataflow: input → worker → split, shard-parallel. ---
     struct ShardStep {
       int64_t input_rows = 0;
+      int64_t built_rows = 0;
+      int64_t resident_edge_rows = 0;
       bool used_frontier = false;
       int64_t frontier_vertices = 0;
       double input_seconds = 0.0;
@@ -875,6 +901,7 @@ Status Coordinator::Run(RunStats* stats) {
               VX_DCHECK_OK(frontier.bits.CheckInvariants());
             }
             Table input;
+            const ResidentPartitions* resident = nullptr;
             if (options_.use_union_input) {
               const CsrIndex* csr =
                   frontier_shard ? EdgeCsr(*es, &derived) : nullptr;
@@ -884,7 +911,17 @@ Status Coordinator::Run(RunStats* stats) {
                     input, BuildUnionInputFrontier(vs, es, ms, frontier.bits,
                                                    *csr));
               } else {
-                VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vs, es, ms));
+                // Dense: the edge section never changes within a run, so
+                // it is laid out in worker-input form once (the first
+                // dense superstep) and merged into each partition by
+                // ApplyTransform; only vertex and message rows are built.
+                if (derived.union_edges == nullptr) {
+                  VX_ASSIGN_OR_RETURN(derived.union_edges,
+                                      BuildResidentEdges(es, topts));
+                  st.resident_edge_rows = derived.union_edges->rows.num_rows();
+                }
+                resident = derived.union_edges.get();
+                VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vs, nullptr, ms));
               }
             } else {
               if (derived.join_side == nullptr) {
@@ -901,11 +938,15 @@ Status Coordinator::Run(RunStats* stats) {
             }
             st.used_frontier = frontier_shard;
             st.frontier_vertices = frontier_shard ? frontier.active : 0;
-            st.input_rows = input.num_rows();
+            st.built_rows = input.num_rows() + st.resident_edge_rows;
+            st.input_rows =
+                input.num_rows() +
+                (resident != nullptr ? resident->rows.num_rows() : 0);
             st.input_seconds = shard_timer.ElapsedSeconds();
 
-            VX_ASSIGN_OR_RETURN(Table out_table,
-                                ApplyTransform(input, 0, factory, topts));
+            VX_ASSIGN_OR_RETURN(
+                Table out_table,
+                ApplyTransform(input, 0, factory, topts, resident));
             // Shared snapshot so the split scans range-scan it in parallel
             // without copying.
             const auto out =
@@ -1122,6 +1163,8 @@ Status Coordinator::Run(RunStats* stats) {
       JoinPathStats join_stats;
       for (const ShardStep& st : step) {
         if (num_shards > 1) s.shard_input_rows.push_back(st.input_rows);
+        s.built_rows += st.built_rows;
+        stats->resident_edge_rows += st.resident_edge_rows;
         s.used_frontier = s.used_frontier || st.used_frontier;
         s.frontier_vertices += st.frontier_vertices;
         join_stats.merge_joins += st.join_stats.merge_joins;
@@ -1174,12 +1217,15 @@ std::string RunStats::ToJson() const {
      << ",\"total_messages\":" << total_messages
      << ",\"num_supersteps\":" << num_supersteps()
      << ",\"frontier_supersteps\":" << frontier_supersteps
-     << ",\"dense_supersteps\":" << dense_supersteps << ",\"supersteps\":[";
+     << ",\"dense_supersteps\":" << dense_supersteps
+     << ",\"resident_edge_rows\":" << resident_edge_rows
+     << ",\"supersteps\":[";
   for (size_t i = 0; i < supersteps.size(); ++i) {
     const SuperstepStats& s = supersteps[i];
     if (i > 0) os << ",";
     os << "{\"superstep\":" << s.superstep
        << ",\"input_rows\":" << s.input_rows
+       << ",\"built_rows\":" << s.built_rows
        << ",\"active_vertices\":" << s.active_vertices
        << ",\"vertex_updates\":" << s.vertex_updates
        << ",\"messages_sent\":" << s.messages_sent

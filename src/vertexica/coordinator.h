@@ -28,6 +28,7 @@
 #include "graphgen/graph.h"
 #include "storage/bitvector.h"
 #include "storage/csr_index.h"
+#include "udf/transform.h"
 #include "vertexica/graph_tables.h"
 #include "vertexica/options.h"
 #include "vertexica/vertex_program.h"
@@ -39,6 +40,11 @@ namespace vertexica {
 struct SuperstepStats {
   int superstep = 0;
   int64_t input_rows = 0;        ///< worker input size (union or join rows)
+  /// Rows projected, scattered and sorted this superstep. Equals
+  /// `input_rows` except on dense union-path supersteps, whose edge
+  /// section is built once per run (RunStats::resident_edge_rows, counted
+  /// here in the superstep that builds it): there it is V + M.
+  int64_t built_rows = 0;
   int64_t active_vertices = 0;   ///< vertices whose Compute ran
   int64_t vertex_updates = 0;    ///< vertices whose state changed
   int64_t messages_sent = 0;     ///< messages for the next superstep
@@ -129,6 +135,11 @@ struct RunStats {
   int64_t dense_supersteps = 0;
   /// @}
 
+  /// Edge rows laid out in worker-input form for the dense union path
+  /// (udf/transform.h ResidentPartitions): once per shard per run, so a
+  /// run with a dense union superstep reports the edge count, else 0.
+  int64_t resident_edge_rows = 0;
+
   /// Superstep count for engines that run supersteps without a per-step
   /// phase breakdown (e.g. the BSP comparator behind the Engine facade);
   /// -1 = derive the count from `supersteps`.
@@ -184,8 +195,16 @@ class Coordinator {
   /// can range-scan the catalog tables without copying them.
   using TablePtr = std::shared_ptr<const Table>;
 
+  /// The §2.3 union of the vertex, edge and message sections, in that
+  /// order; a null `edge` leaves the edge section out (dense supersteps
+  /// pass it to the worker transform as BuildResidentEdges' output).
   Result<Table> BuildUnionInput(const TablePtr& vertex, const TablePtr& edge,
                                 const TablePtr& message) const;
+  /// The edge section of the union in worker-input form — projected,
+  /// hash-partitioned and sorted per `topts` — built once per edge shard
+  /// per run.
+  Result<std::shared_ptr<const ResidentPartitions>> BuildResidentEdges(
+      const TablePtr& edge, const TransformOptions& topts) const;
   /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
   /// side of an edge table — built once per edge shard per run.
   Result<TablePtr> BuildEdgeJoinSide(const TablePtr& edge) const;
@@ -202,11 +221,13 @@ class Coordinator {
   /// or the restricted probe side (join path), and the full message table
   /// (every receiver is in the frontier by construction; receivers absent
   /// from the vertex table are skipped by the worker exactly as on the
-  /// dense path). Gathers iterate set bits in ascending row order and the
-  /// section order (v → e → m) is unchanged, so after the stable
-  /// partition-and-sort the per-vertex tuple streams — and therefore
-  /// results, combiner folds, and aggregate FP folds — are bit-identical
-  /// to the dense build.
+  /// dense path). Gathers iterate set bits in ascending row order, so after
+  /// the stable partition-and-sort each vertex's edge and message lists —
+  /// and therefore results, combiner folds, and aggregate FP folds — are
+  /// bit-identical to the dense build. (Dense union supersteps merge the
+  /// resident edge section in after the built rows, so a vertex's rows
+  /// arrive V, M, E there and V, E, M here; the worker collects edges and
+  /// messages into separate lists, so Compute sees the same arguments.)
   /// @{
   Result<Table> BuildUnionInputFrontier(const TablePtr& vertex,
                                         const TablePtr& edge,

@@ -1155,11 +1155,12 @@ TEST(FaultEnvTest, CheckpointFaultArmedViaEnvironmentFires) {
 
 TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   // One coordinator, two runs, the edge table replaced in between (the
-  // dynamic-graph pattern): the per-snapshot edge-derived caches — the
-  // join side and the frontier's CSR index — must be invalidated by
-  // snapshot identity and rebuilt, or run 2 computes distances over the
-  // stale edge set. Exercised on both input paths with the frontier
-  // forced on so the CSR cache is actually consulted.
+  // dynamic-graph pattern): the edge-derived structures — the join side,
+  // the frontier's CSR index and the dense union path's resident edge
+  // section — must be rebuilt from the new snapshot, or run 2 computes
+  // distances over the stale edge set. Exercised on both input paths with
+  // the frontier forced on (the CSR index is consulted) and off (every
+  // union-path superstep merges the resident section), at 1 and 4 shards.
   const int64_t n = 20;
   Graph chain;
   chain.num_vertices = n;
@@ -1167,10 +1168,15 @@ TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   Graph shortcut = chain;
   shortcut.AddEdge(0, n / 2, 0.5);  // new shortest path to the back half
 
-  ScopedFrontierMode on(FrontierMode::kOn);
-  for (const bool union_input : {true, false}) {
+  const auto check = [&](FrontierMode mode, int shards, bool union_input) {
+    SCOPED_TRACE(testing::Message()
+                 << FrontierModeName(mode) << " frontier, " << shards
+                 << " shards, " << (union_input ? "union" : "join")
+                 << " input");
+    ScopedFrontierMode scoped_mode(mode);
     VertexicaOptions opts;
     opts.use_union_input = union_input;
+    opts.num_shards = shards;
     ShortestPathProgram program(0);
     Catalog cat;
     ASSERT_TRUE(LoadGraphTables(&cat, chain, program).ok());
@@ -1184,7 +1190,10 @@ TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
     // Replace the graph tables (same coordinator!) and rerun. A fresh
     // coordinator over the same catalog is the trusted reference.
     ASSERT_TRUE(LoadGraphTables(&cat, shortcut, program).ok());
-    ASSERT_TRUE(coordinator.Run().ok());
+    RunStats stats;
+    ASSERT_TRUE(coordinator.Run(&stats).ok());
+    // A union-path run lays out the new edge set itself: all n edges.
+    EXPECT_EQ(stats.resident_edge_rows, union_input ? n : 0);
     auto after = ReadVertexValues(cat, {});
     ASSERT_TRUE(after.ok());
 
@@ -1194,12 +1203,18 @@ TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
     ASSERT_TRUE(expect.ok());
     ASSERT_EQ(after->size(), expect->size());
     for (size_t v = 0; v < expect->size(); ++v) {
-      EXPECT_EQ((*after)[v], (*expect)[v])
-          << (union_input ? "union" : "join") << " input, vertex " << v;
+      EXPECT_EQ((*after)[v], (*expect)[v]) << "vertex " << v;
     }
     // The shortcut must actually be visible: distance to the back half
     // drops, which a stale edge cache cannot produce.
     EXPECT_DOUBLE_EQ((*after)[static_cast<size_t>(n / 2)], 0.5);
+  };
+  for (const FrontierMode mode : {FrontierMode::kOn, FrontierMode::kOff}) {
+    for (const int shards : {1, 4}) {
+      for (const bool union_input : {true, false}) {
+        check(mode, shards, union_input);
+      }
+    }
   }
 }
 

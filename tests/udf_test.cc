@@ -228,8 +228,9 @@ class EchoUdf : public TransformUdf {
 };
 
 /// Seeded (key, v, w) rows: keys drawn from [0, distinct) in runs of up to
-/// four equal keys, about one key in eight NULL.
-Table RandomKeyedTable(uint64_t seed, int64_t rows, int64_t distinct) {
+/// four equal keys, a `null_rate` share of them NULL.
+Table RandomKeyedTable(uint64_t seed, int64_t rows, int64_t distinct,
+                       double null_rate = 0.125) {
   Rng rng(seed);
   Table t(Schema({{"key", DataType::kInt64},
                   {"v", DataType::kInt64},
@@ -239,7 +240,7 @@ Table RandomKeyedTable(uint64_t seed, int64_t rows, int64_t distinct) {
     if (i == 0 || rng.Bernoulli(0.3)) {
       key = rng.UniformRange(0, distinct - 1);
     }
-    const Value k = rng.Bernoulli(0.125) ? Value::Null() : Value(key);
+    const Value k = rng.Bernoulli(null_rate) ? Value::Null() : Value(key);
     VX_CHECK_OK(t.AppendRow({k, Value(i), Value(rng.NextDouble())}));
   }
   return t;
@@ -297,6 +298,180 @@ TEST(TransformTest, MatchesPartitionSortConcatReference) {
         }
       }
     }
+  }
+}
+
+/// Seeded keyed rows for one side of a resident merge, RLE-keyed on
+/// request.
+Table MergeSide(uint64_t seed, int64_t rows, int64_t distinct,
+                double null_rate, bool rle_key) {
+  Table t = RandomKeyedTable(seed, rows, distinct, null_rate);
+  if (rle_key && rows > 0) {
+    VX_CHECK(t.mutable_column(0)->Encode(EncodingMode::kForce));
+  }
+  return t;
+}
+
+TEST(TransformTest, ResidentMergeMatchesConcatenatedReference) {
+  struct Shape {
+    const char* name;
+    int64_t input_rows, input_keys, resident_rows, resident_keys;
+  };
+  // Few keys on one side leave most of 64 partitions filled by the other
+  // side only.
+  const Shape shapes[] = {{"both", 300, 60, 500, 60},
+                          {"empty input", 0, 1, 500, 60},
+                          {"empty resident", 300, 60, 0, 1},
+                          {"few input keys", 300, 3, 500, 60},
+                          {"few resident keys", 300, 60, 500, 3}};
+  for (const uint64_t seed : {1u, 4242u}) {
+    for (const double null_rate : {0.0, 0.125}) {
+      for (const bool rle_key : {false, true}) {
+        for (const int threads : {1, 8}) {
+          for (const int num_partitions : {1, 5, 64}) {
+            for (const bool sorted : {false, true}) {
+              for (const Shape& shape : shapes) {
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " nulls " << null_rate
+                             << " rle " << rle_key << " threads " << threads
+                             << " partitions " << num_partitions
+                             << " sorted " << sorted << " " << shape.name);
+                const Table in =
+                    MergeSide(seed, shape.input_rows, shape.input_keys,
+                              null_rate, rle_key);
+                const Table res_src =
+                    MergeSide(seed + 1, shape.resident_rows,
+                              shape.resident_keys, null_rate, rle_key);
+                std::vector<SortKey> keys;
+                if (sorted) keys = {{0, true}};
+                Table all = in;
+                ASSERT_TRUE(all.Append(res_src).ok());
+                const Table expect =
+                    ReferenceTransform(all, num_partitions, keys);
+
+                ScopedExecThreads scoped(threads);
+                TransformOptions opts;
+                opts.num_partitions = num_partitions;
+                opts.num_workers = threads;
+                if (sorted) opts.sort_columns = {0};
+                auto resident = BuildResidentPartitions(res_src, 0, opts);
+                ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+                ASSERT_TRUE(CheckResidentPartitions(*resident).ok());
+                ASSERT_EQ(resident->rows.num_rows(), res_src.num_rows());
+                const Schema schema = in.schema();
+                auto got = ApplyTransform(
+                    in, 0,
+                    [&schema] { return std::make_unique<EchoUdf>(schema); },
+                    opts, &*resident);
+                ASSERT_TRUE(got.ok()) << got.status().ToString();
+                ASSERT_TRUE(got->Equals(expect));
+                const auto& gv = got->column(1).ints();
+                const auto& ev = expect.column(1).ints();
+                ASSERT_EQ(gv, ev);  // row identity, ties included
+                const auto& gw = got->column(2).doubles();
+                const auto& ew = expect.column(2).doubles();
+                ASSERT_EQ(gw.size(), ew.size());
+                EXPECT_EQ(std::memcmp(gw.data(), ew.data(),
+                                      gw.size() * sizeof(double)),
+                          0);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TransformTest, MismatchedResidentSectionFails) {
+  const Table in = RandomKeyedTable(3, 200, 20);
+  const Schema schema = in.schema();
+  const auto echo = [&schema] { return std::make_unique<EchoUdf>(schema); };
+  TransformOptions opts;
+  opts.num_partitions = 5;
+  opts.sort_columns = {0};
+  auto good = BuildResidentPartitions(RandomKeyedTable(4, 300, 20), 0, opts);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_TRUE(ApplyTransform(in, 0, echo, opts, &*good).ok());
+
+  // Another schema: the section lacks the `w` column.
+  auto narrow = BuildResidentPartitions(
+      RandomKeyedTable(4, 300, 20).SelectColumns({0, 1}), 0, opts);
+  ASSERT_TRUE(narrow.ok());
+  EXPECT_TRUE(ApplyTransform(in, 0, echo, opts, &*narrow)
+                  .status()
+                  .IsInvalidArgument());
+
+  // Built for another partition count or other sort columns.
+  TransformOptions other = opts;
+  other.num_partitions = 64;
+  EXPECT_TRUE(ApplyTransform(in, 0, echo, other, &*good)
+                  .status()
+                  .IsInvalidArgument());
+  other = opts;
+  other.sort_columns = {};
+  EXPECT_TRUE(ApplyTransform(in, 0, echo, other, &*good)
+                  .status()
+                  .IsInvalidArgument());
+
+  // Ranges that do not ascend from 0 to the row count.
+  for (int corruption = 0; corruption < 4; ++corruption) {
+    ResidentPartitions bad = *good;
+    switch (corruption) {
+      case 0: bad.offsets.clear(); break;
+      case 1: bad.offsets.pop_back(); break;
+      case 2: bad.offsets.back() -= 1; break;
+      case 3: std::swap(bad.offsets[1], bad.offsets[2]); break;
+    }
+    if (corruption == 3 && bad.offsets[1] == bad.offsets[2]) continue;
+    EXPECT_TRUE(
+        ApplyTransform(in, 0, echo, opts, &bad).status().IsInvalidArgument())
+        << "corruption " << corruption;
+  }
+}
+
+TEST(TransformTest, ResidentAuditCatchesBadLayouts) {
+  TransformOptions opts;
+  opts.num_partitions = 5;
+  opts.sort_columns = {0};
+  auto good = BuildResidentPartitions(RandomKeyedTable(5, 400, 40, 0.0), 0,
+                                      opts);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_TRUE(CheckResidentPartitions(*good).ok());
+  const std::vector<int64_t>& off = good->offsets;
+  int p = 0;
+  while (off[static_cast<size_t>(p) + 1] - off[static_cast<size_t>(p)] < 2) {
+    ++p;
+  }
+  const int64_t first = off[static_cast<size_t>(p)];
+  const int64_t last = off[static_cast<size_t>(p) + 1] - 1;
+  const auto& ids = good->rows.column(0).ints();
+  ASSERT_LT(ids[static_cast<size_t>(first)], ids[static_cast<size_t>(last)]);
+
+  {  // A row counted into the neighbouring range.
+    ResidentPartitions bad = *good;
+    bad.offsets[static_cast<size_t>(p) + 1] -= 1;
+    EXPECT_FALSE(CheckResidentPartitions(bad).ok());
+  }
+  {  // A key, still in key order, that hashes to another partition.
+    ResidentPartitions bad = *good;
+    auto& keys = *bad.rows.mutable_column(0)->mutable_ints();
+    int64_t k = keys[static_cast<size_t>(last)];
+    while (PartitionOf(k, opts.num_partitions) == p) ++k;
+    keys[static_cast<size_t>(last)] = k;
+    EXPECT_FALSE(CheckResidentPartitions(bad).ok());
+  }
+  {  // A range out of key order (same keys, same partition).
+    ResidentPartitions bad = *good;
+    auto& keys = *bad.rows.mutable_column(0)->mutable_ints();
+    std::swap(keys[static_cast<size_t>(first)],
+              keys[static_cast<size_t>(last)]);
+    EXPECT_FALSE(CheckResidentPartitions(bad).ok());
+  }
+  {  // Ranges that stop short of the last row.
+    ResidentPartitions bad = *good;
+    bad.offsets.back() -= 1;
+    EXPECT_FALSE(CheckResidentPartitions(bad).ok());
   }
 }
 

@@ -579,6 +579,68 @@ TEST(ShardingTest, PerShardCountersReported) {
   EXPECT_NE(json.find("\"cross_shard_messages\":"), std::string::npos);
 }
 
+TEST(ResidentEdgeTest, DenseSuperstepsBuildOnlyVertexAndMessageRows) {
+  // Dense union-path supersteps take the edge section from a layout built
+  // once per shard per run: after the first superstep, the rows projected,
+  // scattered and sorted are the vertex rows plus that superstep's
+  // inbound messages, while the rows handed to workers stay V + E + M.
+  Graph g = GenerateRmat(300, 2400, 25);
+  ScopedFrontierMode off(FrontierMode::kOff);
+  for (const int shards : {1, 4}) {
+    VertexicaOptions opts;
+    opts.num_shards = shards;
+    Catalog cat;
+    RunStats stats;
+    auto r = RunPageRank(&cat, g, 6, 0.85, opts, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const int64_t v = (*cat.GetTable("vertex"))->num_rows();
+    const int64_t e = (*cat.GetTable("edge"))->num_rows();
+    ASSERT_GT(e, 0);
+    ASSERT_GT(stats.supersteps.size(), 2u);
+    EXPECT_EQ(stats.resident_edge_rows, e) << "shards=" << shards;
+    int64_t inbound = 0;  // messages stored for the superstep
+    for (const SuperstepStats& s : stats.supersteps) {
+      SCOPED_TRACE(testing::Message()
+                   << "shards=" << shards << " superstep " << s.superstep);
+      EXPECT_FALSE(s.used_frontier);
+      EXPECT_EQ(s.input_rows, v + e + inbound);
+      EXPECT_EQ(s.built_rows, s.superstep == 0 ? v + e : v + inbound);
+      inbound = s.messages_sent;
+    }
+    const std::string json = stats.ToJson();
+    EXPECT_NE(json.find("\"resident_edge_rows\":" + std::to_string(e)),
+              std::string::npos);
+    EXPECT_NE(json.find("\"built_rows\":" + std::to_string(v + e)),
+              std::string::npos);
+  }
+}
+
+TEST(ResidentEdgeTest, FrontierAndJoinPathsBuildEveryRow) {
+  // The frontier gathers and the join input have no resident section:
+  // every row they hand to workers is built that superstep.
+  Graph g = GenerateRmat(200, 1500, 26);
+  AssignRandomWeights(&g, 1.0, 5.0, 27);
+  for (const bool union_input : {true, false}) {
+    ScopedFrontierMode on(FrontierMode::kOn);
+    VertexicaOptions opts;
+    opts.use_union_input = union_input;
+    Catalog cat;
+    RunStats stats;
+    ASSERT_TRUE(RunShortestPaths(&cat, g, 0, opts, &stats).ok());
+    ASSERT_GT(stats.frontier_supersteps, 0);
+    for (const SuperstepStats& s : stats.supersteps) {
+      if (s.used_frontier || !union_input) {
+        EXPECT_EQ(s.built_rows, s.input_rows)
+            << (union_input ? "union" : "join") << " superstep "
+            << s.superstep;
+      }
+    }
+    // Superstep 0 is dense: the union path lays out its edges there.
+    EXPECT_EQ(stats.resident_edge_rows,
+              union_input ? (*cat.GetTable("edge"))->num_rows() : 0);
+  }
+}
+
 TEST(ShardingTest, AmbientShardsKnobResolvesLikeThreads) {
   Graph g = Diamond();
   {
