@@ -378,7 +378,8 @@ BENCHMARK(BM_ShardedSuperstep)
 // down the chain one vertex per superstep, so the dense path assembles a
 // full V+E+M worker input for supersteps that touch one or two vertices.
 // The frontier path gathers only the active rows through the halted/
-// receiver bitvector and the cached CSR edge slices. Distances are
+// receiver bitvector and merges just their edges from the resident edge
+// section. Distances are
 // VX_CHECKed bit-identical across all cells; the recorded time is the
 // summed superstep seconds (SuperstepStats::seconds), i.e. exactly the
 // dataflow cost the frontier removes.

@@ -60,8 +60,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # The frontier knob both ways: the active-vertex sparse dataflow must be
 # bit-identical to the dense path (docs/EXECUTOR.md), so every expectation
-# has to hold with the frontier pinned off and with it forced on wherever
-# structurally possible.
+# has to hold with the frontier pinned off and with it forced on for every
+# superstep after superstep 0.
 (cd "$BUILD_DIR" && VERTEXICA_FRONTIER=off \
     ctest -R 'vertexica_test|api_test|server_test|extensions_test' \
     --output-on-failure -j "$(nproc)")
@@ -105,8 +105,9 @@ VERTEXICA_FAULTS="checkpoint.after_manifest=1:error" \
 
 # Invariant-audit pass (docs/DEVELOPING.md): a Debug build with
 # VERTEXICA_DCHECK=ON compiles in the deep structural validators
-# (Column/Table/Bitvector/CsrIndex/PartitionSet CheckInvariants, the knob
-# round-trip audit) at every dataflow phase boundary, then runs the full
+# (Column/Table/Bitvector/PartitionSet CheckInvariants, the resident edge
+# section's CheckResidentPartitions, the knob round-trip audit) at every
+# dataflow phase boundary, then runs the full
 # suite plus the knob-forcing env passes — any table, shard, index, or
 # knob scope that lies about its structure aborts with a precise message
 # instead of surfacing as a wrong answer. Tests only: the audit tier is
@@ -123,7 +124,8 @@ cmake --build "$DCHECK_DIR" -j "$(nproc)"
     ctest -R 'storage_test|exec_test|vertexica_test' --output-on-failure \
     -j "$(nproc)")
 (cd "$DCHECK_DIR" && VERTEXICA_FRONTIER=on \
-    ctest -R 'vertexica_test|api_test' --output-on-failure -j "$(nproc)")
+    ctest -R 'vertexica_test|api_test|extensions_test' --output-on-failure \
+    -j "$(nproc)")
 
 # Perf trajectory: surface bench JSONs at the repo root so they get
 # committed / uploaded as artifacts. Bench binaries write BENCH_*.json

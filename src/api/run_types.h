@@ -126,8 +126,8 @@ struct RunRequest {
   /// docs/EXECUTOR.md): "" keeps the ambient setting (VERTEXICA_FRONTIER
   /// env var, else auto); "auto" takes the sparse active-vertex path when
   /// the active fraction drops below the coordinator's threshold; "on"
-  /// forces it whenever structurally possible; "off" always runs the dense
-  /// path. Installed as a scoped override around the backend dispatch,
+  /// forces it on every superstep after superstep 0; "off" always runs the
+  /// dense path. Installed as a scoped override around the backend dispatch,
   /// like `threads`; backends without a superstep loop ignore it.
   /// Value-neutral: the frontier path is bit-identical to the dense path
   /// (only SuperstepStats frontier counters change).

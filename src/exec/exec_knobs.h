@@ -41,7 +41,7 @@ namespace vertexica {
 /// (docs/EXECUTOR.md, "Active-vertex frontier supersteps").
 enum class FrontierMode {
   kAuto,  ///< frontier when the active fraction is below the threshold
-  kOn,    ///< frontier whenever structurally possible
+  kOn,    ///< frontier on every superstep after superstep 0
   kOff,   ///< always dense
 };
 

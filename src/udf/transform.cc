@@ -1,6 +1,7 @@
 #include "udf/transform.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/string_util.h"
 #include "exec/parallel.h"
@@ -26,17 +27,28 @@ Status ValidateColumns(const Table& table, int partition_column,
   return Status::OK();
 }
 
+/// A resident section is keyed on its partition column alone.
+Status ValidateResidentKey(int partition_column,
+                           const std::vector<int>& sort_columns) {
+  if (sort_columns != std::vector<int>{partition_column}) {
+    return Status::InvalidArgument(
+        "ApplyTransform: a resident section needs sort_columns == "
+        "{partition_column}");
+  }
+  return Status::OK();
+}
+
 /// The cheap half of the resident contract, checked on every call: the
 /// section must have been built for this input's schema and these options.
 Status ValidateResident(const ResidentPartitions& resident, const Table& input,
                         int partition_column, const TransformOptions& options,
                         int num_partitions) {
+  VX_RETURN_NOT_OK(ValidateResidentKey(partition_column, options.sort_columns));
   if (!resident.rows.schema().Equals(input.schema()) ||
-      resident.partition_column != partition_column ||
-      resident.sort_columns != options.sort_columns) {
+      resident.partition_column != partition_column) {
     return Status::InvalidArgument(
-        "ApplyTransform: resident section built for another schema, "
-        "partition column or sort columns");
+        "ApplyTransform: resident section built for another schema or "
+        "partition column");
   }
   const std::vector<int64_t>& off = resident.offsets;
   if (resident.num_partitions() != num_partitions || off.front() != 0 ||
@@ -49,17 +61,6 @@ Status ValidateResident(const ResidentPartitions& resident, const Table& input,
         static_cast<long long>(resident.rows.num_rows())));
   }
   return Status::OK();
-}
-
-/// Three-way comparison of row `i` of `a` with row `j` of `b` on `keys`
-/// (all ascending, the CompareRows total order).
-int CompareOnKeys(const Table& a, int64_t i, const Table& b, int64_t j,
-                  const std::vector<SortKey>& keys) {
-  for (const SortKey& k : keys) {
-    const int cmp = a.column(k.column).CompareRows(i, b.column(k.column), j);
-    if (cmp != 0) return cmp;
-  }
-  return 0;
 }
 
 /// A stretch of consecutive rows taken from one side of a merge.
@@ -125,75 +126,80 @@ Column GatherRuns(const std::vector<MergeRun>& runs, int c, DataType type,
   return out;
 }
 
-/// Stable merge of one sorted input partition with resident partition `p`:
-/// a resident row goes first only when it sorts strictly before the input
-/// row, so ties keep input rows ahead of resident rows. The input is the
-/// short side (vertex and message rows), so each step binary-searches the
-/// resident range and copies whole runs.
+/// Keyed merge of one key-sorted input partition with resident partition
+/// `p`: each run of equal keys in the input is followed by that key's
+/// equal range of the resident partition, found by a binary search from
+/// where the previous range ended. Resident rows whose key no input row
+/// carries are left out. Adds the resident rows taken to `*merged_rows`.
 Table MergeWithResident(Table part, const ResidentPartitions& resident,
-                        int p, const std::vector<SortKey>& keys) {
+                        int p, int64_t* merged_rows) {
   const Table& res = resident.rows;
-  const int64_t begin = resident.offsets[static_cast<size_t>(p)];
+  int64_t j = resident.offsets[static_cast<size_t>(p)];
   const int64_t end = resident.offsets[static_cast<size_t>(p) + 1];
-  if (begin == end) return part;
-  Table merged;
-  if (part.num_rows() == 0) {
-    merged = res.Slice(begin, end - begin);
-  } else {
-    std::vector<MergeRun> runs;
-    if (keys.empty()) {
-      runs = {{&part, 0, part.num_rows()}, {&res, begin, end - begin}};
-    } else {
-      const Column& pk = part.column(keys[0].column);
-      const Column& rk = res.column(keys[0].column);
-      const bool int_key = keys.size() == 1 &&
-                           pk.type() == DataType::kInt64 &&
-                           pk.null_count() == 0 && rk.null_count() == 0;
-      const std::vector<int64_t>* pv = int_key ? &pk.ints() : nullptr;
-      const std::vector<int64_t>* rv = int_key ? &rk.ints() : nullptr;
-      // True when resident row j sorts strictly before input row i.
-      const auto resident_first = [&](int64_t j, int64_t i) {
-        if (int_key) {
-          return (*rv)[static_cast<size_t>(j)] < (*pv)[static_cast<size_t>(i)];
-        }
-        return CompareOnKeys(res, j, part, i, keys) < 0;
-      };
-      const int64_t n = part.num_rows();
-      int64_t j = begin;
-      int64_t i = 0;
-      while (i < n) {
-        // Resident rows before input row i: binary search in [j, end).
-        int64_t lo = j;
-        int64_t hi = end;
-        while (lo < hi) {
-          const int64_t mid = lo + (hi - lo) / 2;
-          if (resident_first(mid, i)) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        if (lo > j) runs.push_back({&res, j, lo - j});
-        j = lo;
-        // Input rows up to the next resident row.
-        int64_t k = i + 1;
-        while (k < n && (j == end || !resident_first(j, k))) ++k;
-        runs.push_back({&part, i, k - i});
-        i = k;
+  if (j == end) return part;
+  const int kc = resident.partition_column;
+  const Column& pk = part.column(kc);
+  const Column& rk = res.column(kc);
+  const bool int_key = pk.null_count() == 0 && rk.null_count() == 0;
+  const std::vector<int64_t>* pv = int_key ? &pk.ints() : nullptr;
+  const std::vector<int64_t>* rv = int_key ? &rk.ints() : nullptr;
+  // Three-way comparison of resident row r with input row i.
+  const auto compare = [&](int64_t r, int64_t i) {
+    if (int_key) {
+      const int64_t a = (*rv)[static_cast<size_t>(r)];
+      const int64_t b = (*pv)[static_cast<size_t>(i)];
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+    return rk.CompareRows(r, pk, i);
+  };
+  const auto same_input_key = [&](int64_t i, int64_t k) {
+    if (int_key) {
+      return (*pv)[static_cast<size_t>(i)] == (*pv)[static_cast<size_t>(k)];
+    }
+    return pk.CompareRows(i, pk, k) == 0;
+  };
+
+  std::vector<MergeRun> runs;
+  int64_t taken = 0;
+  int64_t pending = 0;  // first input row not yet in `runs`
+  const int64_t n = part.num_rows();
+  for (int64_t i = 0; i < n && j < end;) {
+    int64_t k = i + 1;
+    while (k < n && same_input_key(i, k)) ++k;
+    // Skip the resident keys below this run's key, then take its range.
+    int64_t hi = end;
+    while (j < hi) {
+      const int64_t mid = j + (hi - j) / 2;
+      if (compare(mid, i) < 0) {
+        j = mid + 1;
+      } else {
+        hi = mid;
       }
-      if (j < end) runs.push_back({&res, j, end - j});
     }
-    const int64_t rows = part.num_rows() + (end - begin);
-    std::vector<Column> columns;
-    columns.reserve(static_cast<size_t>(res.num_columns()));
-    for (int c = 0; c < res.num_columns(); ++c) {
-      columns.push_back(GatherRuns(runs, c, res.schema().field(c).type, rows));
+    int64_t e = j;
+    while (e < end && compare(e, i) == 0) ++e;
+    if (e > j) {
+      runs.push_back({&part, pending, k - pending});
+      runs.push_back({&res, j, e - j});
+      taken += e - j;
+      pending = k;
     }
-    auto made = Table::Make(res.schema(), std::move(columns));
-    VX_CHECK(made.ok()) << made.status().ToString();
-    merged = std::move(made).MoveValueUnsafe();
+    j = e;
+    i = k;
   }
-  if (!keys.empty()) merged.SetSortOrder(keys);
+  if (taken == 0) return part;
+  if (pending < n) runs.push_back({&part, pending, n - pending});
+  const int64_t rows = n + taken;
+  std::vector<Column> columns;
+  columns.reserve(static_cast<size_t>(res.num_columns()));
+  for (int c = 0; c < res.num_columns(); ++c) {
+    columns.push_back(GatherRuns(runs, c, res.schema().field(c).type, rows));
+  }
+  auto made = Table::Make(res.schema(), std::move(columns));
+  VX_CHECK(made.ok()) << made.status().ToString();
+  Table merged = std::move(made).MoveValueUnsafe();
+  merged.SetSortOrder({{kc, true}});
+  *merged_rows += taken;
   return merged;
 }
 
@@ -214,18 +220,18 @@ Result<ResidentPartitions> BuildResidentPartitions(
   std::vector<SortKey> keys;
   VX_RETURN_NOT_OK(
       ValidateColumns(table, partition_column, options.sort_columns, &keys));
+  VX_RETURN_NOT_OK(ValidateResidentKey(partition_column, options.sort_columns));
   const int partitions = ResolveTransformParallelism(options).partitions;
   VX_ASSIGN_OR_RETURN(ScatterPlan plan,
                       PlanHashPartition(table, partition_column, partitions));
   ResidentPartitions out;
   out.partition_column = partition_column;
-  out.sort_columns = options.sort_columns;
   out.offsets.reserve(static_cast<size_t>(partitions) + 1);
   std::vector<int64_t> order;
   order.reserve(static_cast<size_t>(table.num_rows()));
   for (std::vector<int64_t>& bucket : plan.indices) {
     out.offsets.push_back(static_cast<int64_t>(order.size()));
-    if (!keys.empty()) StableSortRows(table, keys, &bucket);
+    StableSortRows(table, keys, &bucket);
     order.insert(order.end(), bucket.begin(), bucket.end());
   }
   out.offsets.push_back(static_cast<int64_t>(order.size()));
@@ -250,11 +256,6 @@ Status CheckResidentPartitions(const ResidentPartitions& resident) {
       rows.column(pc).type() != DataType::kInt64) {
     return fail("partition column is not an INT64 column");
   }
-  std::vector<SortKey> keys;
-  for (int c : resident.sort_columns) {
-    if (c < 0 || c >= rows.num_columns()) return fail("bad sort column");
-    keys.push_back(SortKey{c, true});
-  }
   const Column& key = rows.column(pc);
   const int partitions = resident.num_partitions();
   for (int p = 0; p < partitions; ++p) {
@@ -271,7 +272,7 @@ Status CheckResidentPartitions(const ResidentPartitions& resident) {
             "row %lld sits in range %d but belongs to partition %d",
             static_cast<long long>(r), p, want));
       }
-      if (r > b && CompareOnKeys(rows, r - 1, rows, r, keys) > 0) {
+      if (r > b && key.CompareRows(r - 1, key, r) > 0) {
         return fail(StringFormat("range %d is not sorted at row %lld", p,
                                  static_cast<long long>(r)));
       }
@@ -283,7 +284,8 @@ Status CheckResidentPartitions(const ResidentPartitions& resident) {
 Result<Table> ApplyTransform(const Table& input, int partition_column,
                              const TransformUdfFactory& factory,
                              const TransformOptions& options,
-                             const ResidentPartitions* resident) {
+                             const ResidentPartitions* resident,
+                             int64_t* merged_resident_rows) {
   std::vector<SortKey> keys;
   VX_RETURN_NOT_OK(
       ValidateColumns(input, partition_column, options.sort_columns, &keys));
@@ -295,24 +297,13 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
 
   // One scatter pass records each partition's rows; only the non-empty
   // partitions are ever gathered, sorted (the §2.3 "each partition is
-  // sorted on vertex id" step) or handed to a UDF instance, so a sparse
-  // superstep pays nothing for the empty ones. A resident section adds the
-  // partitions that are non-empty on its side.
+  // sorted on vertex id" step), merged with the resident section or handed
+  // to a UDF instance, so a sparse superstep pays nothing for the empty
+  // ones.
   VX_ASSIGN_OR_RETURN(
       ScatterPlan plan,
       PlanHashPartition(input, partition_column, par.partitions));
-  std::vector<int> live;
-  if (resident == nullptr) {
-    live = std::move(plan.non_empty);
-  } else {
-    for (int p = 0; p < par.partitions; ++p) {
-      const auto pz = static_cast<size_t>(p);
-      if (!plan.indices[pz].empty() ||
-          resident->offsets[pz] < resident->offsets[pz + 1]) {
-        live.push_back(p);
-      }
-    }
-  }
+  const std::vector<int> live = std::move(plan.non_empty);
 
   // Discover the output schema from a throwaway instance.
   const Schema out_schema = factory()->output_schema();
@@ -330,6 +321,7 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
   // slowed its PageRank by about 20%; see ROADMAP item 1 on that heap
   // sensitivity.
   std::vector<Table> gathered(live.size());
+  std::vector<int64_t> merged(live.size(), 0);
 
   // Propagate the caller's ambient thread budget into the pool tasks so a
   // UDF body that runs exec kernels keeps honouring RunRequest::threads.
@@ -345,7 +337,7 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
               keys.empty() ? std::move(part) : SortTable(part, keys);
           if (resident != nullptr) {
             partition = MergeWithResident(std::move(partition), *resident,
-                                          live[i], keys);
+                                          live[i], &merged[i]);
           }
           auto udf = factory();
           Table& out = outputs[i];
@@ -356,6 +348,10 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
       },
       par.workers));
 
+  if (merged_resident_rows != nullptr) {
+    *merged_resident_rows =
+        std::accumulate(merged.begin(), merged.end(), int64_t{0});
+  }
   Table result(out_schema);
   for (auto& out : outputs) {
     VX_RETURN_NOT_OK(result.Append(out));

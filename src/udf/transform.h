@@ -88,13 +88,13 @@ TransformParallelism ResolveTransformParallelism(const TransformOptions& opts);
 ///
 /// `rows` is one contiguous table: the hash scatter of the source table on
 /// `partition_column` (PlanHashPartition), partitions in ascending order,
-/// each partition stable-sorted on `sort_columns`. Partition p holds rows
+/// each partition stable-sorted on `partition_column` — the section is
+/// keyed on that column alone. Partition p holds rows
 /// [offsets[p], offsets[p + 1]); `offsets` has num_partitions + 1 entries.
 struct ResidentPartitions {
   Table rows;
   std::vector<int64_t> offsets;
   int partition_column = 0;
-  std::vector<int> sort_columns;
 
   int num_partitions() const {
     return static_cast<int>(offsets.size()) - 1;
@@ -102,9 +102,10 @@ struct ResidentPartitions {
 };
 
 /// \brief Lays `table` out as a ResidentPartitions for `options` (its
-/// resolved partition count and sort columns). One scatter plan, one stable
-/// sort of each partition's row ids, one gather. InvalidArgument for the
-/// inputs ApplyTransform rejects. Self-audited under VX_DCHECK
+/// resolved partition count). One scatter plan, one stable sort of each
+/// partition's row ids, one gather. InvalidArgument for the inputs
+/// ApplyTransform rejects, including `sort_columns` other than
+/// `{partition_column}`. Self-audited under VX_DCHECK
 /// (CheckResidentPartitions).
 Result<ResidentPartitions> BuildResidentPartitions(
     const Table& table, int partition_column, const TransformOptions& options);
@@ -112,7 +113,7 @@ Result<ResidentPartitions> BuildResidentPartitions(
 /// \brief Structural audit of a resident layout (the VX_DCHECK tier; see
 /// docs/DEVELOPING.md): the ranges start at 0, ascend and cover every row;
 /// every row's partition is PartitionOf(key) of its range (NULL keys in 0);
-/// each range is sorted on `sort_columns`. O(rows).
+/// each range is sorted on the partition column. O(rows).
 Status CheckResidentPartitions(const ResidentPartitions& resident);
 
 /// \brief Runs a transform UDF over `input` partitioned by `partition_column`
@@ -127,24 +128,31 @@ Status CheckResidentPartitions(const ResidentPartitions& resident);
 /// partition order, whatever the scheduling. Instances created: one for
 /// output-schema discovery plus one per non-empty partition.
 ///
-/// With `resident`, the UDF sees the rows of `input` and of the resident
-/// section together: each partition of `input` is gathered and sorted as
-/// above, then stably merged with the resident range of the same partition
-/// (a partition non-empty on either side gets an instance). Ties on the
-/// sort columns put `input` rows before resident rows, so the call equals
-/// ApplyTransform over the concatenation (input, then the table the
-/// section was built from) — only `input` is scattered and sorted.
+/// With `resident` (keyed: `sort_columns` must be `{partition_column}`),
+/// each sorted input partition is merged with the resident range of the
+/// same partition by key: every run of equal keys in the input is followed
+/// by that key's equal range of resident rows, found by binary search.
+/// Resident rows whose key no input row carries are never handed to the
+/// UDF, and partitions empty on the input side stay dead, so the call
+/// costs O(input rows + matched resident rows) plus one binary search per
+/// input key, not O(resident rows). It equals ApplyTransform over the
+/// concatenation of `input` and the resident rows whose key equals some
+/// input key (in that order); only `input` is scattered and sorted.
+/// `merged_resident_rows`, when given, receives the number of resident rows
+/// handed to UDF instances.
 ///
 /// InvalidArgument when `partition_column` is out of range or not INT64, a
 /// `sort_columns` index is out of range, or `resident` does not match: a
-/// different schema, partition column, sort columns or partition count, or
-/// ranges that do not ascend from 0 to its row count.
+/// different schema or partition column, sort columns other than
+/// `{partition_column}`, another partition count, or ranges that do not
+/// ascend from 0 to its row count.
 ///
 /// Equivalent SQL: `SELECT udf(...) OVER (PARTITION BY key ORDER BY ...)`.
 Result<Table> ApplyTransform(const Table& input, int partition_column,
                              const TransformUdfFactory& factory,
                              const TransformOptions& options = {},
-                             const ResidentPartitions* resident = nullptr);
+                             const ResidentPartitions* resident = nullptr,
+                             int64_t* merged_resident_rows = nullptr);
 
 }  // namespace vertexica
 

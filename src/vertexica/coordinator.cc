@@ -339,35 +339,15 @@ AggOp CombinerToAggOp(MessageCombiner c) {
 /// first superstep that needs them and kept for the run. `join_side` is the
 /// join-input path's (esrc, edst, eweight, edge_seq) side; `union_edges` is
 /// the union path's edge section in worker-input form (projected to the
-/// union schema, scattered and sorted once; dense supersteps merge it into
-/// each partition); `csr` is the per-source-vertex row-slice index of the
-/// union-path frontier gathers (a dense run never builds it), and
-/// `csr_failed` remembers an unbuildable layout so it is probed once, not
-/// every superstep. Race-free without locks: a shard's slot is touched only
-/// by the one ParallelFor task that owns that shard in a superstep, and
-/// cross-superstep visibility rides the pool's submit/join synchronization.
+/// union schema, scattered and sorted once; every union-path superstep,
+/// dense or frontier, merges it into each partition by key). Race-free
+/// without locks: a shard's slot is touched only by the one ParallelFor
+/// task that owns that shard in a superstep, and cross-superstep visibility
+/// rides the pool's submit/join synchronization.
 struct EdgeShard {
   std::shared_ptr<const Table> join_side;
   std::shared_ptr<const ResidentPartitions> union_edges;
-  std::shared_ptr<const CsrIndex> csr;
-  bool csr_failed = false;
 };
-
-/// The shard's CSR index over its edge `src` column, built on first use;
-/// nullptr when the column is not grouped (callers fall back to dense).
-const CsrIndex* EdgeCsr(const Table& edge, EdgeShard* derived) {
-  if (derived->csr == nullptr && !derived->csr_failed) {
-    const Column* src = edge.ColumnByName("src");
-    if (src != nullptr) derived->csr = CsrIndex::Build(*src);
-    derived->csr_failed = derived->csr == nullptr;
-    // The index is reused for the rest of the run; prove once that it
-    // describes exactly this key column.
-    if (derived->csr != nullptr) {
-      VX_DCHECK_OK(derived->csr->CheckInvariants(*src));
-    }
-  }
-  return derived->csr.get();
-}
 
 /// Publishes a resident shard set to the catalog as one table sorted on the
 /// column `key` (checkpoints and run end). A single shard already in that
@@ -424,15 +404,16 @@ Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
       names_(std::move(names)) {}
 
 Result<Table> Coordinator::BuildUnionInput(const TablePtr& vertex,
-                                           const TablePtr& edge,
                                            const TablePtr& message) const {
   const int va = program_->value_arity();
   const int ma = program_->message_arity();
   const int arity = PayloadArity(*program_);
 
   // §2.3 "Table Unions": the three inputs are renamed to a common schema
-  // and unioned instead of joined. Each section is projected
-  // morsel-parallel; UNION ALL is then just ordered concatenation.
+  // and unioned instead of joined. The vertex and message sections are
+  // projected morsel-parallel here and concatenated (UNION ALL); the edge
+  // section is built once per run (BuildResidentEdges) and merged in by
+  // the worker transform.
   std::vector<ProjectionSpec> vproj = {
       {"id", Col("id")},
       {"kind", Lit(static_cast<int64_t>(kVertexTuple))},
@@ -453,11 +434,6 @@ Result<Table> Coordinator::BuildUnionInput(const TablePtr& vertex,
   }
 
   VX_ASSIGN_OR_RETURN(Table input, ParallelProject(vertex, vproj));
-  if (edge != nullptr) {
-    VX_ASSIGN_OR_RETURN(Table edge_part,
-                        ParallelProject(edge, EdgeUnionProjection(arity)));
-    VX_RETURN_NOT_OK(input.Append(edge_part));
-  }
   VX_ASSIGN_OR_RETURN(Table msg_part, ParallelProject(message, mproj));
   VX_RETURN_NOT_OK(input.Append(msg_part));
   return input;
@@ -533,32 +509,17 @@ Result<Table> Coordinator::BuildJoinInputWithEdgeSide(
 }
 
 Result<Table> Coordinator::BuildUnionInputFrontier(
-    const TablePtr& vertex, const TablePtr& edge, const TablePtr& message,
-    const Bitvector& frontier, const CsrIndex& csr) const {
-  // Restrict the vertex section to the active rows and the edge section to
-  // their CSR slices, then reuse the dense union builder over the small
-  // tables. Both gathers iterate the frontier in ascending row order over
-  // id-sorted tables, so the restricted sections keep the full tables'
-  // relative row order — after the stable partition-and-sort the surviving
-  // per-vertex tuple streams are exactly the dense build's (inactive
-  // vertices contribute no worker output, so dropping their rows is
-  // unobservable). The message section is passed through whole: every
-  // in-table receiver is in the frontier by construction, and orphan
+    const TablePtr& vertex, const TablePtr& message,
+    const Bitvector& frontier) const {
+  // Restrict the vertex section to the active rows; the resident edge
+  // section then contributes exactly their edges (ApplyTransform merges by
+  // key). Inactive vertices contribute no worker output, so dropping their
+  // rows is unobservable. The message section is passed through whole:
+  // every in-table receiver is in the frontier by construction, and orphan
   // receivers are skipped by the worker on both paths.
-  const std::vector<int64_t> active_rows = frontier.SetIndices();
-  Table active_vertex = vertex->Take(active_rows);
-
-  const auto& ids = vertex->ColumnByName("id")->ints();
-  std::vector<int64_t> edge_rows;
-  for (int64_t r : active_rows) {
-    const CsrIndex::Slice s = csr.NeighborSlice(ids[static_cast<size_t>(r)]);
-    for (int64_t e = s.begin; e < s.end; ++e) edge_rows.push_back(e);
-  }
-  Table active_edge = edge->Take(edge_rows);
-
   return BuildUnionInput(
-      std::make_shared<const Table>(std::move(active_vertex)),
-      std::make_shared<const Table>(std::move(active_edge)), message);
+      std::make_shared<const Table>(vertex->Take(frontier.SetIndices())),
+      message);
 }
 
 Result<Table> Coordinator::BuildJoinInputFrontier(
@@ -891,7 +852,7 @@ Status Coordinator::Run(RunStats* stats) {
             // whole superstep dense — and is value-neutral either way.
             WallTimer shard_timer;
             Frontier frontier;
-            bool frontier_shard =
+            const bool frontier_shard =
                 ComputeFrontier(*vs, *ms, knobs.frontier, superstep,
                                 options_.frontier_threshold, &frontier);
             // The frontier bitvector gates which vertices compute this
@@ -903,25 +864,21 @@ Status Coordinator::Run(RunStats* stats) {
             Table input;
             const ResidentPartitions* resident = nullptr;
             if (options_.use_union_input) {
-              const CsrIndex* csr =
-                  frontier_shard ? EdgeCsr(*es, &derived) : nullptr;
-              frontier_shard = frontier_shard && csr != nullptr;
+              // The edge section never changes within a run, so it is laid
+              // out in worker-input form once (the first superstep, dense
+              // or frontier) and merged into each partition by key by
+              // ApplyTransform; only vertex and message rows are built.
+              if (derived.union_edges == nullptr) {
+                VX_ASSIGN_OR_RETURN(derived.union_edges,
+                                    BuildResidentEdges(es, topts));
+                st.resident_edge_rows = derived.union_edges->rows.num_rows();
+              }
+              resident = derived.union_edges.get();
               if (frontier_shard) {
                 VX_ASSIGN_OR_RETURN(
-                    input, BuildUnionInputFrontier(vs, es, ms, frontier.bits,
-                                                   *csr));
+                    input, BuildUnionInputFrontier(vs, ms, frontier.bits));
               } else {
-                // Dense: the edge section never changes within a run, so
-                // it is laid out in worker-input form once (the first
-                // dense superstep) and merged into each partition by
-                // ApplyTransform; only vertex and message rows are built.
-                if (derived.union_edges == nullptr) {
-                  VX_ASSIGN_OR_RETURN(derived.union_edges,
-                                      BuildResidentEdges(es, topts));
-                  st.resident_edge_rows = derived.union_edges->rows.num_rows();
-                }
-                resident = derived.union_edges.get();
-                VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vs, nullptr, ms));
+                VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vs, ms));
               }
             } else {
               if (derived.join_side == nullptr) {
@@ -939,14 +896,13 @@ Status Coordinator::Run(RunStats* stats) {
             st.used_frontier = frontier_shard;
             st.frontier_vertices = frontier_shard ? frontier.active : 0;
             st.built_rows = input.num_rows() + st.resident_edge_rows;
-            st.input_rows =
-                input.num_rows() +
-                (resident != nullptr ? resident->rows.num_rows() : 0);
             st.input_seconds = shard_timer.ElapsedSeconds();
 
-            VX_ASSIGN_OR_RETURN(
-                Table out_table,
-                ApplyTransform(input, 0, factory, topts, resident));
+            int64_t merged_edges = 0;
+            VX_ASSIGN_OR_RETURN(Table out_table,
+                                ApplyTransform(input, 0, factory, topts,
+                                               resident, &merged_edges));
+            st.input_rows = input.num_rows() + merged_edges;
             // Shared snapshot so the split scans range-scan it in parallel
             // without copying.
             const auto out =

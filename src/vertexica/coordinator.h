@@ -27,7 +27,6 @@
 #include "catalog/catalog.h"
 #include "graphgen/graph.h"
 #include "storage/bitvector.h"
-#include "storage/csr_index.h"
 #include "udf/transform.h"
 #include "vertexica/graph_tables.h"
 #include "vertexica/options.h"
@@ -41,9 +40,10 @@ struct SuperstepStats {
   int superstep = 0;
   int64_t input_rows = 0;        ///< worker input size (union or join rows)
   /// Rows projected, scattered and sorted this superstep. Equals
-  /// `input_rows` except on dense union-path supersteps, whose edge
-  /// section is built once per run (RunStats::resident_edge_rows, counted
-  /// here in the superstep that builds it): there it is V + M.
+  /// `input_rows` on the join path. On the union path the edge section is
+  /// built once per run (RunStats::resident_edge_rows, counted here in the
+  /// superstep that builds it), so this is the vertex rows built (all of
+  /// them, or the frontier's) plus the inbound messages.
   int64_t built_rows = 0;
   int64_t active_vertices = 0;   ///< vertices whose Compute ran
   int64_t vertex_updates = 0;    ///< vertices whose state changed
@@ -135,9 +135,9 @@ struct RunStats {
   int64_t dense_supersteps = 0;
   /// @}
 
-  /// Edge rows laid out in worker-input form for the dense union path
+  /// Edge rows laid out in worker-input form for the union path
   /// (udf/transform.h ResidentPartitions): once per shard per run, so a
-  /// run with a dense union superstep reports the edge count, else 0.
+  /// union-path run reports the edge count, a join-path run 0.
   int64_t resident_edge_rows = 0;
 
   /// Superstep count for engines that run supersteps without a per-step
@@ -195,14 +195,14 @@ class Coordinator {
   /// can range-scan the catalog tables without copying them.
   using TablePtr = std::shared_ptr<const Table>;
 
-  /// The §2.3 union of the vertex, edge and message sections, in that
-  /// order; a null `edge` leaves the edge section out (dense supersteps
-  /// pass it to the worker transform as BuildResidentEdges' output).
-  Result<Table> BuildUnionInput(const TablePtr& vertex, const TablePtr& edge,
+  /// The vertex and message sections of the §2.3 union, in that order.
+  /// The edge section reaches the worker transform as BuildResidentEdges'
+  /// output, merged in by key.
+  Result<Table> BuildUnionInput(const TablePtr& vertex,
                                 const TablePtr& message) const;
   /// The edge section of the union in worker-input form — projected,
   /// hash-partitioned and sorted per `topts` — built once per edge shard
-  /// per run.
+  /// per run, on the run's first union-path superstep.
   Result<std::shared_ptr<const ResidentPartitions>> BuildResidentEdges(
       const TablePtr& edge, const TransformOptions& topts) const;
   /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
@@ -217,23 +217,20 @@ class Coordinator {
   ///
   /// Sparse counterparts of BuildUnionInput / BuildJoinInputWithEdgeSide:
   /// the worker input is gathered from the `frontier` bitvector over
-  /// vertex rows — active vertex rows, their CSR edge slices (union path)
-  /// or the restricted probe side (join path), and the full message table
-  /// (every receiver is in the frontier by construction; receivers absent
-  /// from the vertex table are skipped by the worker exactly as on the
-  /// dense path). Gathers iterate set bits in ascending row order, so after
-  /// the stable partition-and-sort each vertex's edge and message lists —
-  /// and therefore results, combiner folds, and aggregate FP folds — are
-  /// bit-identical to the dense build. (Dense union supersteps merge the
-  /// resident edge section in after the built rows, so a vertex's rows
-  /// arrive V, M, E there and V, E, M here; the worker collects edges and
-  /// messages into separate lists, so Compute sees the same arguments.)
+  /// vertex rows — the active vertex rows (union path, whose resident edge
+  /// section then contributes exactly their edges) or the restricted probe
+  /// side (join path) — plus the full message table (every receiver is in
+  /// the frontier by construction; receivers absent from the vertex table
+  /// are skipped by the worker exactly as on the dense path). Gathers
+  /// iterate set bits in ascending row order, so after the stable
+  /// partition-and-sort each vertex's edge and message lists — and
+  /// therefore results, combiner folds, and aggregate FP folds — are
+  /// bit-identical to the dense build. On both union paths a vertex's rows
+  /// arrive V, M, E.
   /// @{
   Result<Table> BuildUnionInputFrontier(const TablePtr& vertex,
-                                        const TablePtr& edge,
                                         const TablePtr& message,
-                                        const Bitvector& frontier,
-                                        const CsrIndex& csr) const;
+                                        const Bitvector& frontier) const;
   Result<Table> BuildJoinInputFrontier(const TablePtr& vertex,
                                        const TablePtr& edge_side,
                                        const TablePtr& message,

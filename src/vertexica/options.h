@@ -56,8 +56,8 @@ struct VertexicaOptions {
   /// (docs/EXECUTOR.md): under the `auto` frontier mode a superstep takes
   /// the frontier path when its active-vertex fraction (non-halted
   /// vertices plus message receivers) is at most this value. Ignored when
-  /// the ambient frontier mode is `on` (always frontier where structurally
-  /// possible) or `off` (always dense). Value-neutral either way: the two
+  /// the ambient frontier mode is `on` (frontier on every superstep after
+  /// superstep 0) or `off` (always dense). Value-neutral either way: the two
   /// paths are bit-identical by construction.
   double frontier_threshold = 0.25;
 

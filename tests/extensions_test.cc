@@ -1155,12 +1155,12 @@ TEST(FaultEnvTest, CheckpointFaultArmedViaEnvironmentFires) {
 
 TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   // One coordinator, two runs, the edge table replaced in between (the
-  // dynamic-graph pattern): the edge-derived structures — the join side,
-  // the frontier's CSR index and the dense union path's resident edge
-  // section — must be rebuilt from the new snapshot, or run 2 computes
-  // distances over the stale edge set. Exercised on both input paths with
-  // the frontier forced on (the CSR index is consulted) and off (every
-  // union-path superstep merges the resident section), at 1 and 4 shards.
+  // dynamic-graph pattern): the edge-derived structures — the join side
+  // and the union path's resident edge section — must be rebuilt from the
+  // new snapshot, or run 2 computes distances over the stale edge set.
+  // Exercised on both input paths with the frontier forced on (sparse
+  // supersteps merge the section) and off (every superstep is dense), at
+  // 1 and 4 shards.
   const int64_t n = 20;
   Graph chain;
   chain.num_vertices = n;

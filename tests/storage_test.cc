@@ -16,7 +16,6 @@
 #include "exec/scan.h"
 #include "storage/bitvector.h"
 #include "storage/compression.h"
-#include "storage/csr_index.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
 #include "storage/table.h"
@@ -1115,67 +1114,6 @@ TEST(BitvectorTest, AndOrCombine) {
   }
 }
 
-// ---- CsrIndex (frontier edge slices). ------------------------------------
-
-Column GroupedKeys(const std::vector<int64_t>& values) {
-  Column c(DataType::kInt64);
-  for (int64_t v : values) c.AppendInt64(v);
-  return c;
-}
-
-TEST(CsrIndexTest, SlicesMatchGroupedRuns) {
-  // src column of a (src, dst)-sorted edge table: 0,0,0,2,2,5.
-  const Column keys = GroupedKeys({0, 0, 0, 2, 2, 5});
-  const auto csr = CsrIndex::Build(keys);
-  ASSERT_NE(csr, nullptr);
-  EXPECT_EQ(csr->num_keys(), 3);
-  EXPECT_EQ(csr->num_rows(), 6);
-  EXPECT_EQ(csr->NeighborSlice(0).begin, 0);
-  EXPECT_EQ(csr->NeighborSlice(0).end, 3);
-  EXPECT_EQ(csr->NeighborSlice(2).begin, 3);
-  EXPECT_EQ(csr->NeighborSlice(2).end, 5);
-  EXPECT_EQ(csr->NeighborSlice(5).begin, 5);
-  EXPECT_EQ(csr->NeighborSlice(5).end, 6);
-  EXPECT_EQ(csr->NeighborSlice(1).length(), 0);   // absent key: empty slice
-  EXPECT_EQ(csr->NeighborSlice(99).length(), 0);
-}
-
-TEST(CsrIndexTest, EncodedKeysBuildFromRuns) {
-  Column keys = GroupedKeys({0, 0, 0, 2, 2, 5});
-  ASSERT_TRUE(keys.Encode(EncodingMode::kForce));
-  ASSERT_EQ(keys.encoding(), ColumnEncoding::kRle);
-  const auto csr = CsrIndex::Build(keys);
-  ASSERT_NE(csr, nullptr);
-  EXPECT_EQ(csr->num_keys(), 3);
-  EXPECT_EQ(csr->NeighborSlice(2).begin, 3);
-  EXPECT_EQ(csr->NeighborSlice(2).end, 5);
-}
-
-TEST(CsrIndexTest, AdjacentRunsSharingAValueMerge) {
-  // Column::FromRleRuns permits adjacent runs with the same value; the
-  // index must see them as one slice.
-  Column keys = Column::FromRleRuns({{7, 2}, {7, 3}, {9, 1}});
-  const auto csr = CsrIndex::Build(keys);
-  ASSERT_NE(csr, nullptr);
-  EXPECT_EQ(csr->num_keys(), 2);
-  EXPECT_EQ(csr->NeighborSlice(7).begin, 0);
-  EXPECT_EQ(csr->NeighborSlice(7).end, 5);
-  EXPECT_EQ(csr->NeighborSlice(9).begin, 5);
-  EXPECT_EQ(csr->NeighborSlice(9).end, 6);
-}
-
-TEST(CsrIndexTest, UngroupedKeysFailTheBuild) {
-  EXPECT_EQ(CsrIndex::Build(GroupedKeys({0, 2, 1})), nullptr);
-  EXPECT_EQ(CsrIndex::Build(Column::FromRleRuns({{3, 2}, {1, 2}})), nullptr);
-  Column with_null(DataType::kInt64);
-  with_null.AppendInt64(1);
-  with_null.AppendNull();
-  EXPECT_EQ(CsrIndex::Build(with_null), nullptr);
-  Column doubles(DataType::kDouble);
-  doubles.AppendDouble(1.0);
-  EXPECT_EQ(CsrIndex::Build(doubles), nullptr);
-}
-
 }  // namespace
 
 // ------------------------------------------------------ invariant audits
@@ -1345,29 +1283,6 @@ TEST(InvariantAuditTest, BitvectorTailBitIsReported) {
   const Status st = bits.CheckInvariants();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(Mentions(st, "bits set past size 10")) << st.ToString();
-}
-
-TEST(InvariantAuditTest, StaleCsrIndexIsReported) {
-  const Column keys = Column::FromInts({0, 0, 1});
-  auto csr = CsrIndex::Build(keys);
-  ASSERT_NE(csr, nullptr);
-  EXPECT_TRUE(csr->CheckInvariants(keys).ok());
-
-  // Audited against a longer snapshot: stale by row count.
-  const Column longer = Column::FromInts({0, 0, 1, 2});
-  const Status st = csr->CheckInvariants(longer);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(Mentions(
-      st, "index covers 3 rows but the key column has 4 (stale index?)"))
-      << st.ToString();
-
-  // Same length, different grouping: stale by slice shape.
-  const Column regrouped = Column::FromInts({0, 1, 1});
-  const Status st2 = csr->CheckInvariants(regrouped);
-  ASSERT_FALSE(st2.ok());
-  EXPECT_TRUE(Mentions(
-      st2, "key 0 maps to slice [0, 2) but its rows span [0, 1)"))
-      << st2.ToString();
 }
 
 TEST(InvariantAuditTest, MalformedShardingSpecIsReported) {

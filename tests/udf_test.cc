@@ -312,65 +312,84 @@ Table MergeSide(uint64_t seed, int64_t rows, int64_t distinct,
   return t;
 }
 
+/// The rows of `resident` whose key CompareRows-equals some key of `input`,
+/// in their order: what a keyed resident merge hands to UDF instances.
+Table MatchedResidentRows(const Table& input, const Table& resident) {
+  std::vector<int64_t> rows;
+  for (int64_t r = 0; r < resident.num_rows(); ++r) {
+    for (int64_t i = 0; i < input.num_rows(); ++i) {
+      if (resident.column(0).CompareRows(r, input.column(0), i) == 0) {
+        rows.push_back(r);
+        break;
+      }
+    }
+  }
+  return resident.Take(rows);
+}
+
 TEST(TransformTest, ResidentMergeMatchesConcatenatedReference) {
   struct Shape {
     const char* name;
     int64_t input_rows, input_keys, resident_rows, resident_keys;
   };
   // Few keys on one side leave most of 64 partitions filled by the other
-  // side only.
+  // side only; resident rows with no input key are never handed out.
   const Shape shapes[] = {{"both", 300, 60, 500, 60},
                           {"empty input", 0, 1, 500, 60},
                           {"empty resident", 300, 60, 0, 1},
                           {"few input keys", 300, 3, 500, 60},
                           {"few resident keys", 300, 60, 500, 3}};
+  const std::vector<SortKey> keys = {{0, true}};
   for (const uint64_t seed : {1u, 4242u}) {
     for (const double null_rate : {0.0, 0.125}) {
       for (const bool rle_key : {false, true}) {
-        for (const int threads : {1, 8}) {
-          for (const int num_partitions : {1, 5, 64}) {
-            for (const bool sorted : {false, true}) {
-              for (const Shape& shape : shapes) {
-                SCOPED_TRACE(testing::Message()
-                             << "seed " << seed << " nulls " << null_rate
-                             << " rle " << rle_key << " threads " << threads
-                             << " partitions " << num_partitions
-                             << " sorted " << sorted << " " << shape.name);
-                const Table in =
-                    MergeSide(seed, shape.input_rows, shape.input_keys,
-                              null_rate, rle_key);
-                const Table res_src =
-                    MergeSide(seed + 1, shape.resident_rows,
-                              shape.resident_keys, null_rate, rle_key);
-                std::vector<SortKey> keys;
-                if (sorted) keys = {{0, true}};
-                Table all = in;
-                ASSERT_TRUE(all.Append(res_src).ok());
-                const Table expect =
-                    ReferenceTransform(all, num_partitions, keys);
+        for (const Shape& shape : shapes) {
+          const Table in = MergeSide(seed, shape.input_rows, shape.input_keys,
+                                     null_rate, rle_key);
+          const Table res_src =
+              MergeSide(seed + 1, shape.resident_rows, shape.resident_keys,
+                        null_rate, rle_key);
+          const Table matched = MatchedResidentRows(in, res_src);
+          Table all = in;
+          ASSERT_TRUE(all.Append(matched).ok());
+          for (const int threads : {1, 8}) {
+            for (const int num_partitions : {1, 5, 64}) {
+              SCOPED_TRACE(testing::Message()
+                           << "seed " << seed << " nulls " << null_rate
+                           << " rle " << rle_key << " threads " << threads
+                           << " partitions " << num_partitions << " "
+                           << shape.name);
+              const Table expect =
+                  ReferenceTransform(all, num_partitions, keys);
 
-                ScopedExecThreads scoped(threads);
-                TransformOptions opts;
-                opts.num_partitions = num_partitions;
-                opts.num_workers = threads;
-                if (sorted) opts.sort_columns = {0};
-                auto resident = BuildResidentPartitions(res_src, 0, opts);
-                ASSERT_TRUE(resident.ok()) << resident.status().ToString();
-                ASSERT_TRUE(CheckResidentPartitions(*resident).ok());
-                ASSERT_EQ(resident->rows.num_rows(), res_src.num_rows());
-                const Schema schema = in.schema();
-                auto got = ApplyTransform(
-                    in, 0,
-                    [&schema] { return std::make_unique<EchoUdf>(schema); },
-                    opts, &*resident);
-                ASSERT_TRUE(got.ok()) << got.status().ToString();
-                ASSERT_TRUE(got->Equals(expect));
-                const auto& gv = got->column(1).ints();
-                const auto& ev = expect.column(1).ints();
-                ASSERT_EQ(gv, ev);  // row identity, ties included
-                const auto& gw = got->column(2).doubles();
-                const auto& ew = expect.column(2).doubles();
-                ASSERT_EQ(gw.size(), ew.size());
+              ScopedExecThreads scoped(threads);
+              TransformOptions opts;
+              opts.num_partitions = num_partitions;
+              opts.num_workers = threads;
+              opts.sort_columns = {0};
+              auto resident = BuildResidentPartitions(res_src, 0, opts);
+              ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+              ASSERT_TRUE(CheckResidentPartitions(*resident).ok());
+              ASSERT_EQ(resident->rows.num_rows(), res_src.num_rows());
+              const Schema schema = in.schema();
+              int64_t merged = -1;
+              auto got = ApplyTransform(
+                  in, 0,
+                  [&schema] { return std::make_unique<EchoUdf>(schema); },
+                  opts, &*resident, &merged);
+              ASSERT_TRUE(got.ok()) << got.status().ToString();
+              EXPECT_EQ(merged, matched.num_rows());
+              if (shape.input_rows == 0) {
+                EXPECT_EQ(got->num_rows(), 0);
+              }
+              ASSERT_TRUE(got->Equals(expect));
+              const auto& gv = got->column(1).ints();
+              const auto& ev = expect.column(1).ints();
+              ASSERT_EQ(gv, ev);  // row identity, ties included
+              const auto& gw = got->column(2).doubles();
+              const auto& ew = expect.column(2).doubles();
+              ASSERT_EQ(gw.size(), ew.size());
+              if (!gw.empty()) {  // memcmp wants non-null pointers
                 EXPECT_EQ(std::memcmp(gw.data(), ew.data(),
                                       gw.size() * sizeof(double)),
                           0);
@@ -380,6 +399,32 @@ TEST(TransformTest, ResidentMergeMatchesConcatenatedReference) {
         }
       }
     }
+  }
+}
+
+TEST(TransformTest, ResidentSectionIsKeyedOnThePartitionColumn) {
+  // A resident section is sorted and merged on its partition column alone;
+  // any other sort columns are rejected when it is built and when it is
+  // merged.
+  const Table in = RandomKeyedTable(3, 200, 20);
+  const Schema schema = in.schema();
+  const auto echo = [&schema] { return std::make_unique<EchoUdf>(schema); };
+  TransformOptions opts;
+  opts.num_partitions = 5;
+  opts.sort_columns = {0};
+  auto good = BuildResidentPartitions(RandomKeyedTable(4, 300, 20), 0, opts);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  const std::vector<std::vector<int>> others = {{}, {1}, {0, 1}, {1, 0}};
+  for (const std::vector<int>& sort_columns : others) {
+    SCOPED_TRACE(testing::Message() << sort_columns.size() << " columns");
+    TransformOptions other = opts;
+    other.sort_columns = sort_columns;
+    EXPECT_TRUE(BuildResidentPartitions(in, 0, other)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(ApplyTransform(in, 0, echo, other, &*good)
+                    .status()
+                    .IsInvalidArgument());
   }
 }
 
@@ -402,14 +447,9 @@ TEST(TransformTest, MismatchedResidentSectionFails) {
                   .status()
                   .IsInvalidArgument());
 
-  // Built for another partition count or other sort columns.
+  // Built for another partition count.
   TransformOptions other = opts;
   other.num_partitions = 64;
-  EXPECT_TRUE(ApplyTransform(in, 0, echo, other, &*good)
-                  .status()
-                  .IsInvalidArgument());
-  other = opts;
-  other.sort_columns = {};
   EXPECT_TRUE(ApplyTransform(in, 0, echo, other, &*good)
                   .status()
                   .IsInvalidArgument());

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
@@ -615,29 +617,119 @@ TEST(ResidentEdgeTest, DenseSuperstepsBuildOnlyVertexAndMessageRows) {
   }
 }
 
-TEST(ResidentEdgeTest, FrontierAndJoinPathsBuildEveryRow) {
-  // The frontier gathers and the join input have no resident section:
-  // every row they hand to workers is built that superstep.
-  Graph g = GenerateRmat(200, 1500, 26);
-  AssignRandomWeights(&g, 1.0, 5.0, 27);
-  for (const bool union_input : {true, false}) {
-    ScopedFrontierMode on(FrontierMode::kOn);
-    VertexicaOptions opts;
-    opts.use_union_input = union_input;
-    Catalog cat;
-    RunStats stats;
-    ASSERT_TRUE(RunShortestPaths(&cat, g, 0, opts, &stats).ok());
-    ASSERT_GT(stats.frontier_supersteps, 0);
-    for (const SuperstepStats& s : stats.supersteps) {
-      if (s.used_frontier || !union_input) {
-        EXPECT_EQ(s.built_rows, s.input_rows)
-            << (union_input ? "union" : "join") << " superstep "
-            << s.superstep;
+/// The vertices each superstep of unit-weight SSSP from vertex 0 activates:
+/// the out-neighbours of the vertices first reached (at their BFS level)
+/// the superstep before — the receivers of that superstep's messages.
+std::vector<std::set<int64_t>> UnitSsspActiveSets(const Graph& g) {
+  std::vector<int64_t> level(static_cast<size_t>(g.num_vertices), -1);
+  level[0] = 0;
+  std::vector<std::set<int64_t>> active = {{}};
+  for (int64_t s = 0;; ++s) {
+    std::set<int64_t> receivers;
+    for (int64_t e = 0; e < g.num_edges(); ++e) {
+      if (level[static_cast<size_t>(g.src[static_cast<size_t>(e)])] == s) {
+        receivers.insert(g.dst[static_cast<size_t>(e)]);
       }
     }
-    // Superstep 0 is dense: the union path lays out its edges there.
-    EXPECT_EQ(stats.resident_edge_rows,
-              union_input ? (*cat.GetTable("edge"))->num_rows() : 0);
+    if (receivers.empty()) return active;
+    for (const int64_t v : receivers) {
+      if (level[static_cast<size_t>(v)] < 0) {
+        level[static_cast<size_t>(v)] = s + 1;
+      }
+    }
+    active.push_back(std::move(receivers));
+  }
+}
+
+TEST(ResidentEdgeTest, FrontierSuperstepsBuildOnlyActiveVertexAndMessageRows) {
+  // Union-path frontier supersteps merge the same resident edge section as
+  // dense ones: they build the frontier's vertex rows plus the inbound
+  // messages, and hand workers exactly the active vertices' edges on top.
+  // The join path builds every row it hands to workers.
+  Graph g = GenerateRmat(200, 1500, 26);
+  const std::vector<std::set<int64_t>> active_sets = UnitSsspActiveSets(g);
+  std::vector<int64_t> out_degree(static_cast<size_t>(g.num_vertices), 0);
+  for (const int64_t src : g.src) ++out_degree[static_cast<size_t>(src)];
+  const int64_t e = g.num_edges();
+
+  // Checks superstep `s` given the messages stored for it; `builds_section`
+  // marks the superstep that lays out the resident edge section.
+  const auto check = [&](const SuperstepStats& s, int64_t inbound,
+                         bool union_input, bool builds_section) {
+    SCOPED_TRACE(testing::Message()
+                 << (union_input ? "union" : "join") << " superstep "
+                 << s.superstep);
+    if (!union_input) {
+      EXPECT_EQ(s.built_rows, s.input_rows);
+      return;
+    }
+    if (!s.used_frontier) return;
+    ASSERT_LT(static_cast<size_t>(s.superstep), active_sets.size());
+    const std::set<int64_t>& active =
+        active_sets[static_cast<size_t>(s.superstep)];
+    int64_t active_edges = 0;
+    for (const int64_t v : active) {
+      active_edges += out_degree[static_cast<size_t>(v)];
+    }
+    EXPECT_EQ(s.frontier_vertices, static_cast<int64_t>(active.size()));
+    EXPECT_EQ(s.built_rows,
+              s.frontier_vertices + inbound + (builds_section ? e : 0));
+    EXPECT_EQ(s.input_rows,
+              s.built_rows - (builds_section ? e : 0) + active_edges);
+  };
+
+  ScopedFrontierMode on(FrontierMode::kOn);
+  for (const int shards : {1, 4}) {
+    for (const bool union_input : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards);
+      VertexicaOptions opts;
+      opts.use_union_input = union_input;
+      opts.num_shards = shards;
+      Catalog cat;
+      RunStats stats;
+      ASSERT_TRUE(RunShortestPaths(&cat, g, 0, opts, &stats).ok());
+      ASSERT_EQ((*cat.GetTable("edge"))->num_rows(), e);
+      ASSERT_GT(stats.frontier_supersteps, 0);
+      // Superstep 0 is dense and lays out the section, once per run.
+      EXPECT_EQ(stats.resident_edge_rows, union_input ? e : 0);
+      int64_t inbound = 0;
+      for (const SuperstepStats& s : stats.supersteps) {
+        check(s, inbound, union_input, /*builds_section=*/false);
+        inbound = s.messages_sent;
+      }
+    }
+  }
+
+  // A resumed union-path run whose first superstep is sparse lays out the
+  // section on that frontier superstep.
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "resumed, shards=" << shards);
+    ShortestPathProgram program(0);
+    Catalog cat;
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    VertexicaOptions opts;
+    opts.num_shards = shards;
+    opts.max_supersteps = 2;
+    opts.checkpoint_every = 1;
+    opts.checkpoint_dir = testing::TempDir() + "/vx_resident_resume";
+    ASSERT_TRUE(Coordinator(&cat, &program, opts).Run().ok());
+
+    VertexicaOptions resume = opts;
+    resume.max_supersteps = 500;
+    resume.checkpoint_every = 0;
+    resume.resume_from_checkpoint = true;
+    int64_t inbound = (*cat.GetTable("message"))->num_rows();
+    ASSERT_GT(inbound, 0);
+    RunStats stats;
+    ASSERT_TRUE(Coordinator(&cat, &program, resume).Run(&stats).ok());
+    ASSERT_FALSE(stats.supersteps.empty());
+    EXPECT_EQ(stats.supersteps.front().superstep, 2);
+    EXPECT_TRUE(stats.supersteps.front().used_frontier);
+    EXPECT_EQ(stats.resident_edge_rows, e);
+    for (const SuperstepStats& s : stats.supersteps) {
+      check(s, inbound, /*union_input=*/true, s.superstep == 2);
+      inbound = s.messages_sent;
+    }
   }
 }
 
@@ -698,7 +790,8 @@ TEST(ShardingTest, ShardedMergeJoinStillMergesOnly) {
 // ---------------------------------------------------------------------------
 // Active-vertex frontier supersteps (docs/EXECUTOR.md): the worker input is
 // gathered from a per-(shard-)table bitvector of non-halted vertices and
-// message receivers plus CSR edge slices instead of full scans. The
+// message receivers instead of full scans; the union path then merges the
+// active vertices' edges from the resident edge section by key. The
 // contract under test: bit-identical to the dense path at any mode × shard
 // count × thread count, on both input paths.
 // ---------------------------------------------------------------------------
@@ -799,6 +892,63 @@ TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
     for (size_t v = 0; v < dense.size(); ++v) {
       EXPECT_EQ((*r)[v], dense[v])
           << "threads=" << threads << ", vertex " << v;
+    }
+  }
+}
+
+TEST(FrontierTest, UnionPathGoesSparseOnAnyEdgeOrder) {
+  // The union path's frontier supersteps take their edges from the
+  // resident section by key, so the edge table needs no particular order:
+  // a shuffled edge table, plus an edge whose src has no vertex row, still
+  // goes sparse and stays bit-identical to the dense path.
+  Graph g = GenerateRmat(150, 900, 34);
+  AssignRandomWeights(&g, 1.0, 5.0, 35);
+  // A chain tail from the source, so `auto` goes sparse too.
+  const int64_t core = g.num_vertices;
+  g.num_vertices += 40;
+  g.AddEdge(0, core, 1.0);
+  for (int64_t v = core; v + 1 < g.num_vertices; ++v) g.AddEdge(v, v + 1, 1.0);
+
+  const auto run = [&g](FrontierMode mode, int shards,
+                        RunStats* stats) -> Result<std::vector<double>> {
+    ScopedFrontierMode scoped(mode);
+    ShortestPathProgram program(0);
+    Catalog cat;
+    VX_RETURN_NOT_OK(LoadGraphTables(&cat, g, program));
+    VX_ASSIGN_OR_RETURN(auto edge, cat.GetTable("edge"));
+    // A stride permutation (7919 is prime, so coprime to the row count).
+    const int64_t n = edge->num_rows();
+    std::vector<int64_t> rows(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      rows[static_cast<size_t>(i)] = (i * 7919) % n;
+    }
+    Table shuffled = edge->Take(rows);
+    VX_RETURN_NOT_OK(shuffled.AppendRow(
+        {Value(g.num_vertices + 5), Value(int64_t{1}), Value(0.25)}));
+    const auto& src = shuffled.column(0).ints();
+    EXPECT_FALSE(std::is_sorted(src.begin(), src.end()));
+    VX_RETURN_NOT_OK(cat.ReplaceTable("edge", std::move(shuffled)));
+    VertexicaOptions opts;
+    opts.num_shards = shards;
+    Coordinator coordinator(&cat, &program, opts);
+    VX_RETURN_NOT_OK(coordinator.Run(stats));
+    return ReadVertexValues(cat, {});
+  };
+
+  auto dense = run(FrontierMode::kOff, 1, nullptr);
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  for (const FrontierMode mode : {FrontierMode::kOn, FrontierMode::kAuto}) {
+    for (const int shards : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "mode=" << FrontierModeName(mode)
+                                      << ", shards=" << shards);
+      RunStats stats;
+      auto r = run(mode, shards, &stats);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_GT(stats.frontier_supersteps, 0);
+      ASSERT_EQ(r->size(), dense->size());
+      for (size_t v = 0; v < dense->size(); ++v) {
+        EXPECT_EQ((*r)[v], (*dense)[v]) << "vertex " << v;
+      }
     }
   }
 }
