@@ -66,14 +66,17 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
     ctest -R 'vertexica_test|api_test|server_test|extensions_test' \
     --output-on-failure -j "$(nproc)")
 (cd "$BUILD_DIR" && VERTEXICA_FRONTIER=on \
-    ctest -R 'vertexica_test|api_test|server_test|extensions_test' \
+    ctest -R 'vertexica_test|api_test|server_test|extensions_test|^property_test$' \
     --output-on-failure -j "$(nproc)")
 
 # And with the ambient shard count forced up: the persistent-sharding
 # superstep dataflow must be value-neutral too (docs/API.md), so every
 # vertexica/api expectation has to hold unchanged when all runs shard.
+# property_test rides along here and in the frontier-on passes: its
+# VertexicaConfigTest sweep (union x combiner x partitions) exercises the
+# workers' sender-side message fold under sharding and the frontier.
 (cd "$BUILD_DIR" && VERTEXICA_SHARDS=4 \
-    ctest -R 'vertexica_test|api_test|storage_test|extensions_test|server_test' \
+    ctest -R 'vertexica_test|api_test|storage_test|extensions_test|server_test|^property_test$' \
     --output-on-failure -j "$(nproc)")
 
 # The serving subsystem by name (docs/SERVER.md): concurrent clients with
@@ -118,14 +121,14 @@ cmake -B "$DCHECK_DIR" -S . -DCMAKE_BUILD_TYPE=Debug -DVERTEXICA_DCHECK=ON \
 cmake --build "$DCHECK_DIR" -j "$(nproc)"
 (cd "$DCHECK_DIR" && ctest --output-on-failure -j "$(nproc)")
 (cd "$DCHECK_DIR" && VERTEXICA_SHARDS=4 \
-    ctest -R 'vertexica_test|api_test|storage_test' --output-on-failure \
-    -j "$(nproc)")
+    ctest -R 'vertexica_test|api_test|storage_test|^property_test$' \
+    --output-on-failure -j "$(nproc)")
 (cd "$DCHECK_DIR" && VERTEXICA_ENCODING=force \
     ctest -R 'storage_test|exec_test|vertexica_test' --output-on-failure \
     -j "$(nproc)")
 (cd "$DCHECK_DIR" && VERTEXICA_FRONTIER=on \
-    ctest -R 'vertexica_test|api_test|extensions_test' --output-on-failure \
-    -j "$(nproc)")
+    ctest -R 'vertexica_test|api_test|extensions_test|^property_test$' \
+    --output-on-failure -j "$(nproc)")
 
 # Perf trajectory: surface bench JSONs at the repo root so they get
 # committed / uploaded as artifacts. Bench binaries write BENCH_*.json

@@ -5,6 +5,7 @@
 #include "common/hash.h"
 #include "common/threadpool.h"
 #include "exec/parallel.h"
+#include "storage/encoding.h"
 
 namespace vertexica {
 
@@ -19,6 +20,10 @@ struct AccState {
   Value extreme;  // current min or max
 };
 
+/// MIN/MAX comparison of two non-null values of one column, in the storage
+/// total order (Column::CompareRows): doubles compare with NaN after every
+/// number and equal to itself, so MIN skips NaN unless every value is NaN,
+/// MAX is NaN if any value is, and both are exact under any chunking.
 int CompareValues(const Value& a, const Value& b) {
   if (a.is_string()) {
     return a.string_value().compare(b.string_value());
@@ -28,9 +33,12 @@ int CompareValues(const Value& a, const Value& b) {
     const int y = b.bool_value() ? 1 : 0;
     return x - y;
   }
-  const double x = a.AsDouble();
-  const double y = b.AsDouble();
-  return x < y ? -1 : (x > y ? 1 : 0);
+  if (a.is_int64() && b.is_int64()) {
+    const int64_t x = a.int64_value();
+    const int64_t y = b.int64_value();
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+  return TotalOrderCompareDoubles(a.AsDouble(), b.AsDouble());
 }
 
 uint64_t HashGroupRow(const Table& t, const std::vector<int>& cols,

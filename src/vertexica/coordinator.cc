@@ -787,6 +787,8 @@ Status Coordinator::Run(RunStats* stats) {
     shared->superstep = superstep;
     shared->num_vertices = total_vertices;  // global count, not per shard
     shared->payload_arity = arity;
+    shared->combiner = options_.use_combiner ? program_->combiner()
+                                             : MessageCombiner::kNone;
     shared->prev_aggregates = &prev_aggregates_;
     for (const auto& spec : agg_specs) {
       shared->aggregator_kinds[spec.name] = spec.kind;
@@ -939,6 +941,7 @@ Status Coordinator::Run(RunStats* stats) {
     // whole-table worker-output row order — the aggregate fold below
     // replays the same merge sequence at every shard count.
     int64_t input_rows = 0;
+    int64_t worker_messages = 0;
     int64_t active = 0;
     int64_t total_updates = 0;
     std::map<std::string, double> new_aggregates;
@@ -947,6 +950,7 @@ Status Coordinator::Run(RunStats* stats) {
     }
     for (const ShardStep& st : step) {
       input_rows += st.input_rows;
+      worker_messages += st.messages.num_rows();
       active += st.scan.active;
       total_updates += st.updates.num_rows();
       MergeAggregateRows(agg_specs, st.scan.aggregate_rows, &new_aggregates);
@@ -957,8 +961,9 @@ Status Coordinator::Run(RunStats* stats) {
     // deployment (ROADMAP #1), so the exchange carries a fault site.
     VX_FAULT_POINT("coordinator.exchange");
     // Concatenate the per-shard outputs in shard order (again the global
-    // row order), combine globally — identical combiner input, identical
-    // FP fold — then scatter on receiver back to the shards. The scatter
+    // row order), combine globally (folding the workers' per-partition
+    // partials when they combined at the sender) — identical combiner
+    // input, identical FP fold — then scatter on receiver back to the shards. The scatter
     // preserves per-receiver order, and a per-shard stable sort by dst
     // equals the global sort restricted to the shard, so next superstep's
     // message streams are bit-identical at any shard count. One shard
@@ -1104,6 +1109,7 @@ Status Coordinator::Run(RunStats* stats) {
       s.input_rows = input_rows;
       s.active_vertices = active;
       s.vertex_updates = total_updates;
+      s.worker_messages = worker_messages;
       s.messages_sent = messages_sent;
       s.seconds = step_timer.ElapsedSeconds();
       s.used_replace = used_replace;
@@ -1184,6 +1190,7 @@ std::string RunStats::ToJson() const {
        << ",\"built_rows\":" << s.built_rows
        << ",\"active_vertices\":" << s.active_vertices
        << ",\"vertex_updates\":" << s.vertex_updates
+       << ",\"worker_messages\":" << s.worker_messages
        << ",\"messages_sent\":" << s.messages_sent
        << ",\"seconds\":" << s.seconds
        << ",\"used_replace\":" << (s.used_replace ? "true" : "false")

@@ -10,7 +10,9 @@
 ///     batching), runs parallel worker UDFs,
 ///  3. splits the worker output into vertex updates, new messages, and
 ///     global-aggregator partials,
-///  4. optionally combines messages per receiver (combiner),
+///  4. optionally combines messages per receiver (combiner): each worker
+///     partition folds its outgoing messages per receiver (sender side),
+///     and the message exchange folds those partials globally,
 ///  5. applies vertex updates in place or by table replacement depending on
 ///     the update fraction (update vs. replace), and swaps in the new
 ///     message table.
@@ -47,6 +49,10 @@ struct SuperstepStats {
   int64_t built_rows = 0;
   int64_t active_vertices = 0;   ///< vertices whose Compute ran
   int64_t vertex_updates = 0;    ///< vertices whose state changed
+  /// Message rows the workers emitted, before the exchange's combiner: one
+  /// per sent message, or one per (partition, receiver) when the workers
+  /// combined at the sender.
+  int64_t worker_messages = 0;
   int64_t messages_sent = 0;     ///< messages for the next superstep
   double seconds = 0.0;
   bool used_replace = false;     ///< update-vs-replace decision taken
@@ -55,7 +61,7 @@ struct SuperstepStats {
   /// @{
   double input_seconds = 0.0;    ///< union/join assembly
   double worker_seconds = 0.0;   ///< partition + sort + Compute
-  double split_seconds = 0.0;    ///< output split & combiner
+  double split_seconds = 0.0;    ///< output split & exchange combiner
   double apply_seconds = 0.0;    ///< vertex update / table swaps
   /// @}
 
@@ -75,15 +81,17 @@ struct SuperstepStats {
   /// \name Shard accounting (storage/partition.h)
   /// Every run executes the resident-shard dataflow; these fields describe
   /// its shards when there is more than one: per-shard worker-input and
-  /// stored-message row counts (indexed by shard id), and how many produced
-  /// messages crossed a shard boundary in the between-superstep exchange.
-  /// One-shard runs report shards = 1, empty vectors and 0 crossings.
+  /// stored-message row counts (indexed by shard id), and how many worker
+  /// message rows — per-partition partials when the workers combined —
+  /// crossed a shard boundary in the between-superstep exchange. One-shard
+  /// runs report shards = 1, empty vectors and 0 crossings.
   ///
   /// Shards run their input build, worker and split in parallel, so the
   /// phase breakdown reports critical-path times: `input_seconds` is the
   /// slowest shard's input build (frontier decision included),
-  /// `split_seconds` the slowest shard's worker-output split plus the
-  /// message exchange (combiner, routing, receiver sort), and
+  /// `split_seconds` the slowest shard's worker-output split (of the
+  /// per-partition partials when the workers combined) plus the message
+  /// exchange (global combiner, routing, receiver sort), and
   /// `worker_seconds` the rest of the shard-parallel span (partition, sort
   /// and Compute). At one shard each phase is exactly that phase's time.
   /// @{
@@ -237,7 +245,8 @@ class Coordinator {
                                        const Bitvector& frontier) const;
   /// @}
   /// Applies the program's message combiner (when configured and enabled)
-  /// over a message table; otherwise returns it unchanged.
+  /// over a message table — the workers' per-partition partials — folding
+  /// them per receiver in row order; otherwise returns it unchanged.
   Result<Table> CombineMessages(Table messages) const;
   /// In-place path of §2.3 "Update Vs Replace": scatters the updates into
   /// `vertex`, finding each update's row by binary search over the

@@ -43,8 +43,11 @@ struct VertexicaOptions {
   /// plan instead (the paper's strawman).
   bool use_union_input = true;
 
-  /// Apply the program's message combiner (when it declares one) as an
-  /// aggregation over the message table between supersteps.
+  /// Apply the program's message combiner (when it declares one): each
+  /// worker partition folds its outgoing messages per receiver (Pregel's
+  /// sender-side combiner), and an aggregation over the message table
+  /// between supersteps folds those partials per receiver. When false,
+  /// every sent message is stored and delivered as its own row.
   bool use_combiner = true;
 
   /// §2.3 "Update Vs Replace": if the fraction of updated vertices is below

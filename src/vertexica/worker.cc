@@ -2,7 +2,37 @@
 
 #include <unordered_set>
 
+#include "storage/encoding.h"
+
 namespace vertexica {
+
+namespace {
+
+/// Folds message `msg` into the combined message `acc`, component-wise.
+/// Min and max replace only on a strictly better value under the storage
+/// total order (NaN after every number), the comparison the exchange's
+/// MIN/MAX aggregate uses, so the first of equal values is kept on both
+/// sides of the exchange.
+void FoldMessage(MessageCombiner combiner, const double* msg, double* acc,
+                 int arity) {
+  for (int c = 0; c < arity; ++c) {
+    switch (combiner) {
+      case MessageCombiner::kSum:
+        acc[c] += msg[c];
+        break;
+      case MessageCombiner::kMin:
+        if (TotalOrderCompareDoubles(msg[c], acc[c]) < 0) acc[c] = msg[c];
+        break;
+      case MessageCombiner::kMax:
+        if (TotalOrderCompareDoubles(msg[c], acc[c]) > 0) acc[c] = msg[c];
+        break;
+      case MessageCombiner::kNone:
+        break;
+    }
+  }
+}
+
+}  // namespace
 
 // ------------------------------------------------------------ UnionRowBuffer
 
@@ -47,6 +77,7 @@ VertexRunner::VertexRunner(const WorkerSharedState* shared) : shared_(shared) {
   ctx_.local_aggregates_ = &local_aggregates_;
   ctx_.aggregator_kinds_ = &shared_->aggregator_kinds;
   pad_.resize(static_cast<size_t>(shared_->payload_arity), 0.0);
+  if (shared_->combiner != MessageCombiner::kNone) slot_of_.emplace();
 }
 
 void VertexRunner::BeginVertex(int64_t id, bool halted, const double* value) {
@@ -91,17 +122,45 @@ bool VertexRunner::FinishVertex(UnionRowBuffer* out) {
   out->AppendRow(ctx_.vertex_id_, kVertexTuple, changed ? 1 : 0, ctx_.halted_,
                  ctx_.value_.data(), static_cast<int>(ctx_.value_.size()));
 
-  // Message rows: id = receiver, other = sender.
+  // Message rows: id = receiver, other = sender — or folded into the
+  // partition's per-receiver slots, emitted by FinishPartition.
   const int ma = ctx_.msg_arity_;
   for (size_t m = 0; m < ctx_.out_msg_dst_.size(); ++m) {
-    out->AppendRow(ctx_.out_msg_dst_[m], kMessageTuple, ctx_.vertex_id_,
-                   false, ctx_.out_msg_data_.data() + m * static_cast<size_t>(ma),
-                   ma);
+    const double* msg =
+        ctx_.out_msg_data_.data() + m * static_cast<size_t>(ma);
+    if (slot_of_) {
+      CombineMessage(ctx_.out_msg_dst_[m], msg);
+    } else {
+      out->AppendRow(ctx_.out_msg_dst_[m], kMessageTuple, ctx_.vertex_id_,
+                     false, msg, ma);
+    }
   }
   return true;
 }
 
-void VertexRunner::EmitAggregates(UnionRowBuffer* out) {
+void VertexRunner::CombineMessage(int64_t dst, const double* msg) {
+  const auto ma = static_cast<size_t>(ctx_.msg_arity_);
+  const auto fresh = static_cast<int64_t>(slot_dst_.size());
+  const int64_t slot = slot_of_->GetOrInsert(dst, fresh);
+  if (slot == fresh) {
+    slot_dst_.push_back(dst);
+    slot_msg_.insert(slot_msg_.end(), msg, msg + ma);
+  } else {
+    FoldMessage(shared_->combiner, msg,
+                slot_msg_.data() + static_cast<size_t>(slot) * ma,
+                ctx_.msg_arity_);
+  }
+}
+
+void VertexRunner::FinishPartition(UnionRowBuffer* out) {
+  const int ma = ctx_.msg_arity_;
+  for (size_t s = 0; s < slot_dst_.size(); ++s) {
+    out->AppendRow(slot_dst_[s], kMessageTuple, -1, false,
+                   slot_msg_.data() + s * static_cast<size_t>(ma), ma);
+  }
+  slot_dst_.clear();
+  slot_msg_.clear();
+  if (slot_of_) slot_of_->Clear();
   for (const auto& [name, value] : local_aggregates_) {
     int64_t index = -1;
     for (size_t i = 0; i < shared_->aggregator_names.size(); ++i) {
@@ -178,7 +237,7 @@ Status Worker::ProcessPartition(const Table& partition,
     runner.FinishVertex(&out);
     i = end;
   }
-  runner.EmitAggregates(&out);
+  runner.FinishPartition(&out);
   return emit(out.ToTable());
 }
 
@@ -266,7 +325,7 @@ Status JoinWorker::ProcessPartition(const Table& partition,
     runner.FinishVertex(&out);
     i = end;
   }
-  runner.EmitAggregates(&out);
+  runner.FinishPartition(&out);
   return emit(out.ToTable());
 }
 

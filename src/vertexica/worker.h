@@ -7,16 +7,22 @@
 /// the vertices of its batch. Its output reuses the common schema:
 /// kind=0 rows are vertex-state updates (`other`=1 when the state changed),
 /// kind=2 rows are outgoing messages (`id`=receiver, `other`=sender), and
-/// kind=3 rows carry partial global-aggregator values.
+/// kind=3 rows carry partial global-aggregator values. When the run combines
+/// messages (WorkerSharedState::combiner), a worker folds its partition's
+/// outgoing messages per receiver instead (Pregel's sender-side combiner)
+/// and emits one kind-2 row per receiver at the end of the partition, with
+/// `other`=-1: a combined row has no single sender.
 
 #ifndef VERTEXICA_VERTEXICA_WORKER_H_
 #define VERTEXICA_VERTEXICA_WORKER_H_
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "udf/transform.h"
 #include "vertexica/graph_tables.h"
 #include "vertexica/vertex_program.h"
@@ -29,6 +35,9 @@ struct WorkerSharedState {
   int superstep = 0;
   int64_t num_vertices = 0;
   int payload_arity = 1;
+  /// The combiner the workers apply to their outgoing messages: the
+  /// program's, or kNone when VertexicaOptions::use_combiner is off.
+  MessageCombiner combiner = MessageCombiner::kNone;
   /// Aggregator values produced in the previous superstep.
   const std::map<std::string, double>* prev_aggregates = nullptr;
   /// Kind of each declared aggregator (for identity/merge).
@@ -72,18 +81,34 @@ class VertexRunner {
   void AddMessage(const double* payload);
 
   /// Runs Compute if the vertex is active (superstep 0, not halted, or has
-  /// messages) and appends output rows to `out`. Returns true if computed.
+  /// messages) and appends output rows to `out`: the vertex-state row, then
+  /// one kind-2 row per message — or, when combining, folds the messages
+  /// into the partition's per-receiver slots instead. Returns true if
+  /// computed.
   bool FinishVertex(UnionRowBuffer* out);
 
-  /// Appends kind-3 partial-aggregate rows (call once per partition).
-  void EmitAggregates(UnionRowBuffer* out);
+  /// Appends the partition's combined kind-2 rows (one per receiver, in
+  /// first-appearance order) and then its kind-3 partial-aggregate rows,
+  /// and resets both. Call once per partition, after its last vertex.
+  void FinishPartition(UnionRowBuffer* out);
 
  private:
+  /// Folds one outgoing message into its receiver's slot; the receiver's
+  /// first message seeds the slot.
+  void CombineMessage(int64_t dst, const double* msg);
+
   const WorkerSharedState* shared_;
   VertexContext ctx_;
   std::map<std::string, double> local_aggregates_;
   std::vector<double> pad_;  // scratch payload row, payload_arity wide
   bool old_halted_ = false;
+
+  /// \name Sender-side combining (empty unless shared_->combiner != kNone)
+  /// @{
+  std::optional<Int64HashMap<int64_t>> slot_of_;  // receiver -> slot
+  std::vector<int64_t> slot_dst_;  // slot -> receiver, first-appearance order
+  std::vector<double> slot_msg_;   // message_arity doubles per slot
+  /// @}
 };
 
 /// \brief Worker over the §2.3 *union* input (vertex+edge+message tuples in

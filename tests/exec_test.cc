@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -627,6 +629,125 @@ TEST(ParallelExecTest, DoubleAggregatesBitIdenticalAcrossThreads) {
     EXPECT_EQ(sp.column(0).GetInt64(r), ss.column(0).GetInt64(r));
     EXPECT_NEAR(sp.column(1).GetDouble(r), ss.column(1).GetDouble(r), 1e-9);
     EXPECT_NEAR(sp.column(2).GetDouble(r), ss.column(2).GetDouble(r), 1e-9);
+  }
+}
+
+/// Same double, bit for bit (so -0.0 != 0.0); any NaN matches any NaN.
+bool SameDouble(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  uint64_t x = 0;
+  uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+// MIN/MAX over DOUBLE fold in the storage total order (NaN after every
+// number, equal to itself), so a NaN that seeds a chunk's partial cannot
+// hide that chunk's later values: MIN skips NaN unless every value is NaN,
+// MAX is NaN if any value is, and the serial operator and every grain and
+// thread count agree bit for bit (the first of equal values is kept).
+TEST(ParallelExecTest, MinMaxWithNaNIndependentOfChunking) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> inputs = {
+      {1, 2, nan, 0.5}, {1, 2, nan, 5},   {nan, 3, 1, 2},
+      {nan, nan},       {-0.0, 0.0, nan}, {2, nan, -0.0, 0.0, 1}};
+  const int64_t n = 40000;
+  const std::vector<std::vector<int64_t>> nan_rows = {
+      {0}, {n / 2}, {kDefaultMorselRows - 1, kDefaultMorselRows}, {1, 2, 3}};
+  for (const auto& rows : nan_rows) {
+    std::vector<double> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      v[static_cast<size_t>(i)] = static_cast<double>((i * 7919) % 10007) -
+                                  5000.0;
+    }
+    for (int64_t r : rows) v[static_cast<size_t>(r)] = nan;
+    inputs.push_back(std::move(v));
+  }
+  const std::vector<AggSpec> aggs = {{AggOp::kMin, "x", "mn"},
+                                     {AggOp::kMax, "x", "mx"}};
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    const std::vector<double>& x = inputs[in];
+    constexpr int64_t kGroups = 3;
+    Table t(Schema({{"k", DataType::kInt64}, {"x", DataType::kDouble}}));
+    for (size_t i = 0; i < x.size(); ++i) {
+      VX_CHECK_OK(t.AppendRow(
+          {Value(static_cast<int64_t>(i) % kGroups), Value(x[i])}));
+    }
+    for (const std::vector<std::string>& group_by :
+         {std::vector<std::string>{}, std::vector<std::string>{"k"}}) {
+      SCOPED_TRACE(::testing::Message() << "input " << in << " groups "
+                                        << group_by.size());
+      HashAggregateOp serial_op(std::make_unique<TableScan>(t), group_by,
+                                aggs);
+      auto serial = Collect(&serial_op);
+      ASSERT_TRUE(serial.ok());
+      const int agg0 = static_cast<int>(group_by.size());
+      // The serial result is the documented one: the first least non-NaN
+      // value (NaN when there is none) and NaN when any value is NaN, else
+      // the first greatest.
+      for (int64_t g = 0; g < serial->num_rows(); ++g) {
+        double mn = nan;
+        double mx = nan;
+        bool any_nan = false;
+        for (size_t i = 0; i < x.size(); ++i) {
+          if (!group_by.empty() &&
+              static_cast<int64_t>(i) % kGroups !=
+                  serial->column(0).GetInt64(g)) {
+            continue;
+          }
+          if (std::isnan(x[i])) {
+            any_nan = true;
+            continue;
+          }
+          if (std::isnan(mn) || x[i] < mn) mn = x[i];
+          if (std::isnan(mx) || x[i] > mx) mx = x[i];
+        }
+        if (any_nan) mx = nan;
+        EXPECT_TRUE(SameDouble(serial->column(agg0).GetDouble(g), mn))
+            << serial->column(agg0).GetDouble(g) << " vs " << mn;
+        EXPECT_TRUE(SameDouble(serial->column(agg0 + 1).GetDouble(g), mx))
+            << serial->column(agg0 + 1).GetDouble(g) << " vs " << mx;
+      }
+      for (int64_t grain : {int64_t{1}, int64_t{2}, kDefaultMorselRows}) {
+        for (int threads : {1, 8}) {
+          ParallelOptions opts;
+          opts.num_threads = threads;
+          opts.morsel_rows = grain;
+          auto parallel = ParallelHashAggregate(t, group_by, aggs, opts);
+          ASSERT_TRUE(parallel.ok());
+          ASSERT_EQ(parallel->num_rows(), serial->num_rows());
+          for (int64_t g = 0; g < serial->num_rows(); ++g) {
+            for (int c = 0; c < serial->num_columns(); ++c) {
+              const bool same =
+                  c < agg0 ? parallel->column(c).GetInt64(g) ==
+                                 serial->column(c).GetInt64(g)
+                           : SameDouble(parallel->column(c).GetDouble(g),
+                                        serial->column(c).GetDouble(g));
+              EXPECT_TRUE(same) << "grain=" << grain << " threads="
+                                << threads << " row " << g << " col " << c;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// MIN/MAX over INT64 compare the integers themselves, not their double
+// images, which collide above 2^53.
+TEST(ParallelExecTest, MinMaxInt64ExactAbove2To53) {
+  const int64_t big = int64_t{1} << 53;
+  for (const std::vector<int64_t>& vals :
+       {std::vector<int64_t>{big + 1, big}, std::vector<int64_t>{big, big + 1}}) {
+    Table t(Schema({{"v", DataType::kInt64}}));
+    for (int64_t v : vals) VX_CHECK_OK(t.AppendRow({Value(v)}));
+    HashAggregateOp op(std::make_unique<TableScan>(t), {},
+                       {{AggOp::kMin, "v", "mn"}, {AggOp::kMax, "v", "mx"}});
+    auto out = Collect(&op);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->column(0).GetInt64(0), big);
+    EXPECT_EQ(out->column(1).GetInt64(0), big + 1);
   }
 }
 

@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <set>
 
+#include "algorithms/connected_components.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
@@ -222,6 +226,91 @@ TEST(OptimizationTest, CombinerOnOffSameResult) {
   for (size_t v = 0; v < r1->size(); ++v) {
     EXPECT_NEAR((*r1)[v], (*r2)[v], 1e-9);
   }
+
+  // Min combiners (SSSP, connected components) stay exact: folding at the
+  // sender and again at the exchange picks the same value as delivering
+  // every message, on both input paths and at any shard count.
+  Graph weighted = g;
+  weighted.weight.resize(static_cast<size_t>(g.num_edges()));
+  for (size_t e = 0; e < weighted.weight.size(); ++e) {
+    weighted.weight[e] = 1.0 + static_cast<double>(e % 7);
+  }
+  for (bool use_union : {true, false}) {
+    for (int shards : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (use_union ? "union" : "join") << " shards=" << shards);
+      VertexicaOptions on;
+      on.use_union_input = use_union;
+      on.num_shards = shards;
+      VertexicaOptions off = on;
+      off.use_combiner = false;
+      Catalog c1, c2, c3, c4;
+      auto d_on = RunShortestPaths(&c1, weighted, 0, on);
+      auto d_off = RunShortestPaths(&c2, weighted, 0, off);
+      ASSERT_TRUE(d_on.ok() && d_off.ok());
+      EXPECT_EQ(*d_on, *d_off);
+      auto cc_on = RunConnectedComponents(&c3, g, on);
+      auto cc_off = RunConnectedComponents(&c4, g, off);
+      ASSERT_TRUE(cc_on.ok() && cc_off.ok());
+      EXPECT_EQ(*cc_on, *cc_off);
+    }
+  }
+}
+
+TEST(OptimizationTest, WorkerMessagesCountPerPartitionReceivers) {
+  // Dense PageRank: every vertex with out-edges messages all its
+  // neighbours every superstep, so with the combiner on the workers emit
+  // one row per (vertex-batch partition, distinct receiver) and with it off
+  // one row per edge. messages_sent, the exchange's output, is the global
+  // distinct-receiver count with the combiner and the edge count without.
+  Graph g = GenerateRmat(256, 3000, 21);
+  std::vector<std::set<int64_t>> receivers(kDefaultTransformPartitions);
+  std::set<int64_t> all_receivers;
+  for (int64_t e = 0; e < g.num_edges(); ++e) {
+    const int64_t src = g.src[static_cast<size_t>(e)];
+    const int64_t dst = g.dst[static_cast<size_t>(e)];
+    receivers[static_cast<size_t>(
+                  PartitionOf(src, kDefaultTransformPartitions))]
+        .insert(dst);
+    all_receivers.insert(dst);
+  }
+  int64_t partials = 0;
+  for (const auto& r : receivers) partials += static_cast<int64_t>(r.size());
+  ASSERT_LT(partials, g.num_edges());  // the fold has something to fold
+
+  constexpr int kIterations = 3;
+  for (int shards : {1, 4}) {
+    for (bool combine : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "shards=" << shards
+                                        << " combine=" << combine);
+      VertexicaOptions opts;
+      opts.num_shards = shards;
+      opts.use_combiner = combine;
+      Catalog cat;
+      RunStats stats;
+      ASSERT_TRUE(RunPageRank(&cat, g, kIterations, 0.85, opts, &stats).ok());
+      ASSERT_EQ(stats.supersteps.size(), size_t{kIterations + 1});
+      for (const SuperstepStats& s : stats.supersteps) {
+        if (s.superstep == kIterations) {  // halting step: sends nothing
+          EXPECT_EQ(s.worker_messages, 0);
+          continue;
+        }
+        if (combine) {
+          EXPECT_EQ(s.worker_messages, partials);
+          EXPECT_EQ(s.messages_sent,
+                    static_cast<int64_t>(all_receivers.size()));
+        } else {
+          EXPECT_EQ(s.worker_messages, g.num_edges());
+          EXPECT_EQ(s.messages_sent, g.num_edges());
+        }
+      }
+    }
+  }
+  RunStats json_stats;
+  json_stats.supersteps.push_back(SuperstepStats{});
+  json_stats.supersteps[0].worker_messages = 42;
+  EXPECT_NE(json_stats.ToJson().find("\"worker_messages\":42"),
+            std::string::npos);
 }
 
 TEST(OptimizationTest, CombinerShrinksMessageTable) {
@@ -379,6 +468,134 @@ TEST(WorkerTest, RunnerReactivatesOnMessage) {
   EXPECT_EQ(out.kind[1], kMessageTuple);
   EXPECT_EQ(out.id[1], 6);
   EXPECT_DOUBLE_EQ(out.payload[0][1], 4.0);
+}
+
+/// Sends a fixed list of two-component messages per vertex; value arity 1.
+class ScriptedSender : public VertexProgram {
+ public:
+  struct Send {
+    int64_t dst;
+    double m0;
+    double m1;
+  };
+  ScriptedSender(MessageCombiner combiner,
+                 std::map<int64_t, std::vector<Send>> script)
+      : combiner_(combiner), script_(std::move(script)) {}
+
+  int value_arity() const override { return 1; }
+  int message_arity() const override { return 2; }
+  void InitValue(int64_t, int64_t, double* value) const override {
+    value[0] = 0.0;
+  }
+  void Compute(VertexContext* ctx) override {
+    for (const Send& m : script_[ctx->vertex_id()]) {
+      const double payload[2] = {m.m0, m.m1};
+      ctx->SendMessage(m.dst, payload);
+    }
+  }
+  MessageCombiner combiner() const override { return combiner_; }
+
+ private:
+  MessageCombiner combiner_;
+  std::map<int64_t, std::vector<Send>> script_;
+};
+
+/// Same double, bit for bit (so -0.0 != 0.0); any NaN matches any NaN.
+bool SameDouble(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  uint64_t x = 0;
+  uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+TEST(WorkerTest, RunnerCombinesPerReceiverAtTheSender) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Receivers first appear in the order 7, 3, 4, 9, 5.
+  const std::map<int64_t, std::vector<ScriptedSender::Send>> script = {
+      {10, {{7, 1.5, -0.0}, {3, inf, 2.0}, {7, 2.5, 0.0}, {4, nan, 1.0}}},
+      {11, {{3, -inf, 1.0}, {9, 0.0, -1.0}, {7, -1.0, 0.0}}},
+      {12, {{9, -0.0, 4.0}, {3, 1.0, inf}, {5, -0.0, -0.0}, {4, 2.0, nan}}}};
+  struct Case {
+    MessageCombiner combiner;
+    // Expected (m0, m1) per receiver 7, 3, 4, 9, 5: the messages folded in
+    // send order, the first seeding the slot. Min/max compare in the
+    // storage total order (NaN after every number) and keep the first of
+    // equal values (-0.0 before 0.0).
+    std::vector<std::pair<double, double>> expect;
+  };
+  const std::vector<Case> cases = {
+      {MessageCombiner::kSum,
+       {{(1.5 + 2.5) + -1.0, (-0.0 + 0.0) + 0.0},
+        {nan, (2.0 + 1.0) + inf},  // inf + -inf
+        {nan, nan},
+        {0.0 + -0.0, -1.0 + 4.0},
+        {-0.0, -0.0}}},
+      {MessageCombiner::kMin,
+       {{-1.0, -0.0}, {-inf, 1.0}, {2.0, 1.0}, {0.0, -1.0}, {-0.0, -0.0}}},
+      {MessageCombiner::kMax,
+       {{2.5, -0.0}, {inf, inf}, {nan, nan}, {0.0, 4.0}, {-0.0, -0.0}}}};
+  const std::vector<int64_t> receivers = {7, 3, 4, 9, 5};
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.combiner));
+    ScriptedSender program(c.combiner, script);
+    WorkerSharedState shared;
+    shared.program = &program;
+    shared.superstep = 0;
+    shared.num_vertices = 13;
+    shared.payload_arity = 2;
+    shared.combiner = c.combiner;
+    std::map<std::string, double> prev;
+    shared.prev_aggregates = &prev;
+
+    VertexRunner runner(&shared);
+    UnionRowBuffer out(2);
+    const double value = 0.0;
+    for (int64_t v : {10, 11, 12}) {
+      runner.BeginVertex(v, /*halted=*/false, &value);
+      EXPECT_TRUE(runner.FinishVertex(&out));
+    }
+    // Only the three vertex rows so far: messages wait for the partition.
+    ASSERT_EQ(out.id.size(), 3u);
+    runner.FinishPartition(&out);
+    ASSERT_EQ(out.id.size(), 3u + receivers.size());
+    for (size_t r = 0; r < receivers.size(); ++r) {
+      const size_t row = 3 + r;
+      EXPECT_EQ(out.kind[row], kMessageTuple);
+      EXPECT_EQ(out.id[row], receivers[r]);
+      EXPECT_EQ(out.other[row], -1);  // no single sender
+      EXPECT_TRUE(SameDouble(out.payload[0][row], c.expect[r].first))
+          << "receiver " << receivers[r] << ": " << out.payload[0][row];
+      EXPECT_TRUE(SameDouble(out.payload[1][row], c.expect[r].second))
+          << "receiver " << receivers[r] << ": " << out.payload[1][row];
+    }
+    // The slots reset with the partition: the next one starts empty.
+    UnionRowBuffer next(2);
+    runner.FinishPartition(&next);
+    EXPECT_TRUE(next.id.empty());
+  }
+
+  // Without a combiner every message is its own row, sender in `other`.
+  ScriptedSender program(MessageCombiner::kSum, script);
+  WorkerSharedState shared;
+  shared.program = &program;
+  shared.num_vertices = 13;
+  shared.payload_arity = 2;
+  std::map<std::string, double> prev;
+  shared.prev_aggregates = &prev;
+  VertexRunner runner(&shared);
+  UnionRowBuffer out(2);
+  const double value = 0.0;
+  runner.BeginVertex(10, /*halted=*/false, &value);
+  EXPECT_TRUE(runner.FinishVertex(&out));
+  ASSERT_EQ(out.id.size(), 5u);
+  EXPECT_EQ(out.id[1], 7);
+  EXPECT_EQ(out.other[1], 10);
+  EXPECT_EQ(out.id[3], 7);
+  EXPECT_TRUE(SameDouble(out.payload[1][1], -0.0));
 }
 
 // ---------------------------------------------------------------------------
